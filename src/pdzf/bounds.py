@@ -406,6 +406,8 @@ def audit(
     Bounds whose hypotheses fail are skipped.  ``jobs`` > 1 evaluates the
     bounds in that many worker processes.
     """
+    if jobs < 1:
+        raise ValueError(f"jobs must be positive, got {jobs}")
     x = graph._coerce(x if x is not None else ())
     tasks = [(name, graph, x, guard) for name in AUDIT_BOUNDS]
     if jobs > 1:

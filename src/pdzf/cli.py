@@ -47,8 +47,7 @@ from .solver import (
     reduction_pd_number,
     restricted_pd_number,
     restricted_zf_number,
-    spread,
-    z_restricted_single,
+    spread_and_single,
 )
 
 _METHODS = {"pd": ("cg", "oracle", "reduction"), "zf": ("cg", "oracle"), "dom": ("oracle",)}
@@ -182,11 +181,54 @@ def _cmd_tree_pd(args: argparse.Namespace) -> tuple[Graph, dict]:
     return tree, {**_result_payload(split.result()), "split": split.vertex, "parts": parts}
 
 
+# The vertex-list fields each compose kind requires, besides "base".
+_SPEC_SETS = {"pendant": ("x",), "boundary": ("v1", "w1", "w2"), "apex": ("x", "t")}
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def _read_spec(args: argparse.Namespace) -> dict:
     if args.spec:
         with open(args.spec, "r", encoding="utf-8") as handle:
-            return json.load(handle)
-    return json.loads(sys.stdin.read())
+            spec = json.load(handle)
+    else:
+        spec = json.loads(sys.stdin.read())
+    _check_spec(spec, args.kind)
+    return spec
+
+
+def _check_spec(spec, kind: str) -> None:
+    """Reject a malformed compose descriptor before anything is solved."""
+    if not isinstance(spec, dict):
+        raise ValueError("the spec must be a JSON object")
+    required = ("base", *_SPEC_SETS[kind])
+    if kind == "pendant":
+        required += ("attachments",)
+    missing = [key for key in required if key not in spec]
+    if missing:
+        raise ValueError(f"the spec lacks {', '.join(map(repr, missing))}")
+    if not isinstance(spec["base"], str):
+        raise ValueError("'base' must be an edge-list string")
+    for key in _SPEC_SETS[kind]:
+        if not isinstance(spec[key], list) or not all(map(_is_int, spec[key])):
+            raise ValueError(f"{key!r} must be a list of integers")
+    if "cap" in spec and not (_is_int(spec["cap"]) and spec["cap"] > 0):
+        raise ValueError("'cap' must be a positive integer")
+    if kind == "pendant":
+        attachments = spec["attachments"]
+        if not isinstance(attachments, list) or not all(
+            isinstance(a, dict)
+            and isinstance(a.get("graph"), str)
+            and _is_int(a.get("root"))
+            and _is_int(a.get("at"))
+            for a in attachments
+        ):
+            raise ValueError(
+                "'attachments' must be a list of objects with a 'graph' string "
+                "and integer 'root' and 'at'"
+            )
 
 
 def _cmd_compose(args: argparse.Namespace) -> tuple[Graph, dict]:
@@ -266,12 +308,8 @@ def _cmd_terminals(args: argparse.Namespace) -> tuple[Graph, dict]:
 
 def _cmd_spread(args: argparse.Namespace) -> tuple[Graph, dict]:
     graph = _load_graph(args)
-    res = z_restricted_single(graph, args.vertex)
-    return graph, {
-        "vertex": args.vertex,
-        "spread": spread(graph, args.vertex),
-        **_result_payload(res),
-    }
+    s, res = spread_and_single(graph, args.vertex)
+    return graph, {"vertex": args.vertex, "spread": s, **_result_payload(res)}
 
 
 def _cmd_check(args: argparse.Namespace) -> tuple[Graph, dict]:

@@ -156,12 +156,34 @@ class TreeSplit:
 
 
 def centroid(tree: Graph) -> int:
-    """A vertex minimizing the largest branch of the tree, lowest id first."""
+    """A vertex minimizing the largest branch of the tree, lowest id first.
+
+    One traversal from vertex 0 gives every subtree size.  The branches
+    at v are the subtrees of its children and, unless v is the root, the
+    rest of the tree, of size n - size[v]; so each weight is read off in
+    constant time and the scan in id order keeps the lowest id on ties.
+    """
     if not tree.is_tree():
         raise NotATreeError("centroid needs a tree")
-    best, best_weight = 0, tree.n
-    for v in tree.vertices():
-        weight = max((len(c) for c in tree.delete_vertex(v).components()), default=0)
+    adj, n = tree.adj, tree.n
+    parent = [0] * n
+    order = [0]
+    seen = 1
+    for v in order:
+        children = adj[v] & ~seen
+        seen |= children
+        for w in bits(children):
+            parent[w] = v
+            order.append(w)
+    size = [1] * n
+    heaviest = [0] * n
+    for v in reversed(order[1:]):
+        p = parent[v]
+        size[p] += size[v]
+        heaviest[p] = max(heaviest[p], size[v])
+    best, best_weight = 0, n
+    for v in range(n):
+        weight = max(heaviest[v], n - size[v])
         if weight < best_weight:
             best, best_weight = v, weight
     return best

@@ -68,19 +68,23 @@ def fort_from_failed_set(graph: Graph, s: VertexSet, mode: str = "pd") -> Fort:
     return Fort(VertexSet.from_mask(graph.n, full & ~final))
 
 
-def _lex_fort_of_size(adj: tuple[int, ...], n: int, cand_mask: int, size: int) -> int | None:
+def _lex_fort_of_size(adj: tuple[int, ...], cand_mask: int, size: int) -> int | None:
     """Lexicographically smallest fort of exactly *size* vertices within
     cand_mask, or None.  Members are added in increasing id order, so the
     first completion found is the lexicographic minimum."""
-    full = (1 << n) - 1
 
-    def descend(fmask: int, chosen: int, avail: int) -> int | None:
-        # pending: outside vertices seeing exactly one member, each needs a fix
+    def descend(fmask: int, near: int, chosen: int, avail: int) -> int | None:
+        # pending: outside vertices seeing exactly one member, each needs a
+        # fix.  Only vertices adjacent to a member (near) can see one.
         pending = []
-        for w in bits(full & ~fmask):
-            inside = adj[w] & fmask
-            if inside and inside & (inside - 1) == 0:
-                fix = (avail & (1 << w)) | (adj[w] & avail)
+        scan = near & ~fmask
+        while scan:
+            low = scan & -scan
+            scan ^= low
+            row = adj[low.bit_length() - 1]
+            inside = row & fmask
+            if inside & (inside - 1) == 0:
+                fix = (avail & low) | (row & avail)
                 if fix == 0:
                     return None
                 pending.append(fix)
@@ -94,14 +98,26 @@ def _lex_fort_of_size(adj: tuple[int, ...], n: int, cand_mask: int, size: int) -
                 need += 1
         if chosen + need > size:
             return None
-        for v in bits(avail):
-            below = (1 << (v + 1)) - 1
-            found = descend(fmask | 1 << v, chosen + 1, avail & ~below)
+        # Members are added in increasing id order, so every fix set needs
+        # an id at or above the next member; the last member must lie in
+        # every fix set.
+        cands = avail
+        if pending:
+            if chosen + 1 == size:
+                for fix in pending:
+                    cands &= fix
+            else:
+                cands &= (1 << min(fix.bit_length() for fix in pending)) - 1
+        while cands:
+            low = cands & -cands
+            cands ^= low
+            v = low.bit_length() - 1
+            found = descend(fmask | low, near | adj[v], chosen + 1, avail & -(low << 1))
             if found is not None:
                 return found
         return None
 
-    return descend(0, 0, cand_mask)
+    return descend(0, 0, 0, cand_mask)
 
 
 def minimum_violated_fort(graph: Graph, forbidden: VertexSet) -> Fort:
@@ -111,11 +127,20 @@ def minimum_violated_fort(graph: Graph, forbidden: VertexSet) -> Fort:
     increasing id order, outside vertices that currently see exactly one
     member must be fixable by a later choice, and pairwise-disjoint fix
     sets bound the number of additions still required.
+
+    Two shortcuts keep the answer the one a plain scan would return.
+    Only neighbours of the partial fort are checked: a vertex with no
+    neighbour in it sees no member, so skipping it leaves the pending
+    fixes unchanged.  And a branch is entered only if every fix set has
+    an id at or above its new member (for the last member: contains it),
+    since later members all have higher ids; any other branch would fail
+    at its first check.  Both skip only work that finds nothing, and keep
+    the order, so the first fort found is the same.
     """
     forbidden = graph._coerce(forbidden)
     cand_mask = (1 << graph.n) - 1 & ~forbidden.mask
     for size in range(1, cand_mask.bit_count() + 1):
-        found = _lex_fort_of_size(graph.adj, graph.n, cand_mask, size)
+        found = _lex_fort_of_size(graph.adj, cand_mask, size)
         if found is not None:
             return Fort(VertexSet.from_mask(graph.n, found))
     raise InfeasibleError("no fort avoids the forbidden set")

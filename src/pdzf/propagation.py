@@ -198,6 +198,8 @@ def enumerate_terminal_sets(
     forcers depend only on the current coloring, and a terminal set is the
     complement of the full forcer set.
     """
+    if cap < 1:
+        raise ValueError(f"cap must be positive, got {cap}")
     b = graph._coerce(b)
     adj = graph.adj
     full = (1 << graph.n) - 1

@@ -37,6 +37,7 @@ __all__ = [
     "pd_number_disconnected",
     "reduction_pd_number",
     "spread",
+    "spread_and_single",
     "z_restricted_single",
     "k_restricted_number",
     "DEFAULT_ORACLE_GUARD",
@@ -368,16 +369,21 @@ def reduction_pd_number(
     return SolveResult(res.value, witness, "reduction", res.cuts_added, res.nodes)
 
 
-def spread(graph: Graph, v: int, *, guard: int = DEFAULT_CG_GUARD) -> int:
-    """Z(G) - Z(G - v); always -1, 0 or 1."""
+def _spread_solves(graph: Graph, v: int, guard: int) -> tuple[int, SolveResult, SolveResult]:
+    """The spread of v with the two solves it is read from, Z(G) and Z(G - v)."""
     graph._check_vertex(v)
     if graph.n < 2:
         raise GraphError("vertex spread needs at least two vertices")
-    z = _cg(graph, VertexSet(graph.n), "zf", False, guard).value
-    z_minus = _cg(graph.delete_vertex(v), VertexSet(graph.n - 1), "zf", False, guard).value
-    out = z - z_minus
+    z_res = _cg(graph, VertexSet(graph.n), "zf", False, guard)
+    z_minus_res = _cg(graph.delete_vertex(v), VertexSet(graph.n - 1), "zf", False, guard)
+    out = z_res.value - z_minus_res.value
     assert out in (-1, 0, 1)
-    return out
+    return out, z_res, z_minus_res
+
+
+def spread(graph: Graph, v: int, *, guard: int = DEFAULT_CG_GUARD) -> int:
+    """Z(G) - Z(G - v); always -1, 0 or 1."""
+    return _spread_solves(graph, v, guard)[0]
 
 
 def _lift_deleted(s: VertexSet, v: int) -> VertexSet:
@@ -385,21 +391,18 @@ def _lift_deleted(s: VertexSet, v: int) -> VertexSet:
     return VertexSet(s.n + 1, (u if u < v else u + 1 for u in s))
 
 
-def z_restricted_single(graph: Graph, v: int, *, guard: int = DEFAULT_CG_GUARD) -> SolveResult:
-    """Z(G; {v}) through the spread of v.
+def spread_and_single(
+    graph: Graph, v: int, *, guard: int = DEFAULT_CG_GUARD
+) -> tuple[int, SolveResult]:
+    """The spread of v together with Z(G; {v}), sharing the solves of Z(G)
+    and Z(G - v) that both are read from.
 
     Spread 1 means some minimum forcing set contains v without using it:
     a minimum set of G - v plus v works.  Spread -1 means Z(G; {v}) =
     Z(G) + 1, witnessed by any minimum set plus v.  Spread 0 decides
     nothing, so that case is solved directly.
     """
-    graph._check_vertex(v)
-    if graph.n == 1:
-        return SolveResult(1, VertexSet(1, (0,)), "reduction")
-    empty = VertexSet(graph.n)
-    z_res = _cg(graph, empty, "zf", False, guard)
-    z_minus_res = _cg(graph.delete_vertex(v), VertexSet(graph.n - 1), "zf", False, guard)
-    s = z_res.value - z_minus_res.value
+    s, z_res, z_minus_res = _spread_solves(graph, v, guard)
     if s == 1:
         witness = _lift_deleted(z_minus_res.witness, v) | VertexSet(graph.n, (v,))
         result = SolveResult(z_res.value, witness, "reduction")
@@ -407,10 +410,18 @@ def z_restricted_single(graph: Graph, v: int, *, guard: int = DEFAULT_CG_GUARD) 
         witness = z_res.witness | VertexSet(graph.n, (v,))
         result = SolveResult(z_res.value + 1, witness, "reduction")
     else:
-        return _cg(graph, VertexSet(graph.n, (v,)), "zf", False, guard)
+        return s, _cg(graph, VertexSet(graph.n, (v,)), "zf", False, guard)
     assert len(result.witness) == result.value
     assert closure_mask(graph.adj, result.witness.mask) == (1 << graph.n) - 1
-    return result
+    return s, result
+
+
+def z_restricted_single(graph: Graph, v: int, *, guard: int = DEFAULT_CG_GUARD) -> SolveResult:
+    """Z(G; {v}) through the spread of v (see ``spread_and_single``)."""
+    graph._check_vertex(v)
+    if graph.n == 1:
+        return SolveResult(1, VertexSet(1, (0,)), "reduction")
+    return spread_and_single(graph, v, guard=guard)[1]
 
 
 def k_restricted_number(

@@ -7,7 +7,7 @@ import sys
 
 import pytest
 
-from pdzf import enumerate_forts, from_edge_list, generate, is_fort, to_edge_list
+from pdzf import enumerate_forts, from_edge_list, generate, is_fort, solver, to_edge_list
 from pdzf.cli import main
 
 P3 = "3 2\n0 1\n1 2\n"
@@ -264,6 +264,22 @@ class TestSpread:
         code, _, _ = cli(["spread", "--vertex", "9"], P3)
         assert code == 2
 
+    @pytest.mark.parametrize("vertex,spread,solves", [("1", -1, 2), ("0", 0, 3)])
+    def test_each_value_solved_once(self, cli, monkeypatch, vertex, spread, solves):
+        # Z(G) and Z(G - v) give both the spread and, unless it is 0,
+        # the anchored value; only spread 0 needs a third solve.
+        calls = []
+        real = solver._cg
+
+        def counting(*args, **kwargs):
+            calls.append(args[2])
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(solver, "_cg", counting)
+        code, out, _ = cli(["spread", "--vertex", vertex], P3)
+        assert code == 0 and doc_of(out)["spread"] == spread
+        assert len(calls) == solves
+
 
 class TestCheck:
     def test_witness_roundtrip(self, cli):
@@ -324,3 +340,30 @@ class TestDeterminism:
         first.pop("runtime_ms")
         second.pop("runtime_ms")
         assert first == second
+
+
+P4 = "4 3\n0 1\n1 2\n2 3\n"
+
+
+class TestInputContract:
+    @pytest.mark.parametrize(
+        "argv,stdin",
+        [
+            (["compose", "pendant"], json.dumps({"x": "ab", "base": P4, "attachments": []})),
+            (["compose", "pendant"], json.dumps({"x": [0.5], "base": P4, "attachments": []})),
+            (["compose", "pendant"], json.dumps({"base": 5, "x": [0], "attachments": []})),
+            (["compose", "pendant"], "[1, 2]"),
+            (["compose", "apex"], json.dumps({"base": P4, "x": [0], "t": [3], "cap": "10"})),
+            (["terminals", "--x", "0", "--cap", "-1"], P4),
+            (["terminals", "--x", "0", "--cap", "0"], P4),
+            (["bounds", "--jobs", "0"], P4),
+            (["compose", "pendant"], json.dumps({"base": P4, "x": [True], "attachments": []})),
+            (["compose", "pendant"], json.dumps({"base": P4, "x": [0], "attachments": [{}]})),
+            (["compose", "boundary"], json.dumps({"base": P4, "v1": [0, 1], "w1": [0]})),
+            (["compose", "apex"], json.dumps({"base": P4, "x": [0], "t": [3], "cap": 0})),
+        ],
+    )
+    def test_malformed_input_exits_2(self, cli, argv, stdin):
+        code, out, err = cli(argv, stdin)
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and err.count("\n") == 1

@@ -17,7 +17,7 @@ from pdzf import (
     zf_closure,
 )
 
-from util import graph_sweep, random_connected_graph, random_subset
+from util import graph_sweep, random_connected_graph, random_subset, random_tree
 
 
 def fort_by_definition(graph, members):
@@ -110,7 +110,14 @@ class TestFortFromFailedSet:
 class TestMinimumViolatedFort:
     def test_matches_enumeration_minimum(self):
         rng = random.Random(13)
-        for g in graph_sweep(6):
+        # Trees and sparse graphs of 10-16 vertices, where most vertices
+        # are far from a small partial fort, follow the exhaustive sweep.
+        sparse = []
+        for k in range(24):
+            n = rng.randint(10, 16)
+            extra = rng.randint(0, n // 4)
+            sparse.append(random_tree(n, rng) if k % 2 else random_connected_graph(n, rng, extra))
+        for g in (*graph_sweep(6), *sparse):
             if g.n < 2:
                 continue
             forbidden = g.vertex_set(random_subset(g.n, rng, rng.randint(0, g.n - 1)))

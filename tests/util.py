@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import random
 from functools import lru_cache
-from itertools import combinations, permutations, product
+from itertools import combinations
 
 from pdzf import Graph
 
@@ -56,52 +56,73 @@ def random_subset(n: int, rng: random.Random, k: int | None = None) -> tuple[int
     return tuple(sorted(rng.sample(range(n), k)))
 
 
-def _refined_classes(n: int, adj: list[int]) -> list[list[int]]:
-    # Degree classes refined twice by neighbor-class multisets.
-    color = [adj[v].bit_count() for v in range(n)]
-    for _ in range(2):
-        sig = [
-            (color[v], tuple(sorted(color[u] for u in range(n) if adj[v] >> u & 1)))
-            for v in range(n)
-        ]
-        order = {s: i for i, s in enumerate(sorted(set(sig)))}
-        color = [order[s] for s in sig]
-    classes: dict[int, list[int]] = {}
-    for v in range(n):
-        classes.setdefault(color[v], []).append(v)
-    return [classes[c] for c in sorted(classes)]
+def _refine(nbrs: list[list[int]], color: list[int]) -> list[int]:
+    """Colour refinement to a fixpoint.
+
+    A colour is the position where its cell starts in the ordered
+    partition.  Each round recolours a vertex by its colour and the
+    multiset of its neighbours' colours, ranked in sorted order, so the
+    result depends only on the coloured graph and every cell splits in
+    place.  The multiset is packed into one integer, a digit per colour
+    in a base above any degree.
+    """
+    shift = len(nbrs).bit_length()
+    digit = [1 << shift * c for c in range(len(nbrs))]
+    count = len(set(color))
+    while True:
+        sig = [(c, sum([digit[color[u]] for u in nb])) for c, nb in zip(color, nbrs)]
+        start: dict[tuple[int, int], int] = {}
+        for i, key in enumerate(sorted(sig)):
+            start.setdefault(key, i)
+        color = [start[key] for key in sig]
+        if len(start) in (count, len(nbrs)):  # stable, or discrete
+            return color
+        count = len(start)
 
 
 def _canon(n: int, edges: tuple[tuple[int, int], ...]) -> tuple[int, int]:
-    """Canonical integer form: minimum edge bitmap over color-preserving maps."""
+    """Canonical integer form: the minimum edge bitmap over the leaves of an
+    individualization-refinement search.
+
+    Refinement and the choice of the first non-singleton cell commute with
+    relabelling, so the set of leaf bitmaps, and its minimum, is the same
+    for isomorphic graphs.  Of two twins in a cell (equal neighbourhoods
+    apart from each other) only one is individualized: swapping them is an
+    automorphism that fixes the colouring, so both subtrees give the same
+    leaves.
+    """
     adj = [0] * n
     for u, v in edges:
         adj[u] |= 1 << v
         adj[v] |= 1 << u
-    idx = {}
-    k = 0
-    for u in range(n):
-        for v in range(u + 1, n):
-            idx[u, v] = k
-            k += 1
-    classes = _refined_classes(n, adj)
-    starts = []
-    pos = 0
-    for cls in classes:
-        starts.append(pos)
-        pos += len(cls)
+    nbrs = [[u for u in range(n) if adj[v] >> u & 1] for v in range(n)]
     best = None
-    for parts in product(*(permutations(cls) for cls in classes)):
-        pi = [0] * n
-        for start, part in zip(starts, parts):
-            for offset, old in enumerate(part):
-                pi[old] = start + offset
-        code = 0
-        for u, v in edges:
-            a, b = pi[u], pi[v]
-            code |= 1 << idx[min(a, b), max(a, b)]
-        if best is None or code < best:
-            best = code
+
+    def search(color: list[int]) -> None:
+        nonlocal best
+        color = _refine(nbrs, color)
+        sizes = [0] * n
+        for c in color:
+            sizes[c] += 1
+        target = next((c for c in range(n) if sizes[c] > 1), None)
+        if target is None:
+            code = 0
+            for u, v in edges:
+                a, b = sorted((color[u], color[v]))
+                code |= 1 << (a * n + b)
+            if best is None or code < best:
+                best = code
+            return
+        tried: list[int] = []
+        for v in range(n):
+            if color[v] != target:
+                continue
+            if any((adj[u] ^ adj[v]) & ~(1 << u | 1 << v) == 0 for u in tried):
+                continue
+            tried.append(v)
+            search([c + (c == target and u != v) for u, c in enumerate(color)])
+
+    search([0] * n)
     return n, best
 
 

@@ -10,7 +10,6 @@ inapplicable ones.
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -374,45 +373,28 @@ AUDIT_BOUNDS = (
 )
 
 
-def _audit_entry(task: tuple[str, Graph, VertexSet, int]) -> BoundReport | None:
-    name, graph, x, guard = task
-    try:
-        if name == "domination_half":
-            return domination_half(graph, guard=min(guard, DEFAULT_ORACLE_GUARD))
-        if name == "pd_third":
-            return pd_third(graph, guard=guard)
-        if name == "restricted_pd_third":
-            return restricted_pd_third(graph, x, guard=guard)
-        if name == "degree_sum":
-            return degree_sum(graph, x, guard=guard)
-        if name == "delta_ratio":
-            return delta_ratio(graph, x, guard=guard)
-        if name == "neighborhood_blowup":
-            return neighborhood_blowup(graph, x, guard=guard)
-    except BoundHypothesisError:
-        return None
-    raise ValueError(f"unknown bound {name!r}")
-
-
 def audit(
-    graph: Graph,
-    x: VertexSet | None = None,
-    *,
-    jobs: int = 1,
-    guard: int = DEFAULT_CG_GUARD,
+    graph: Graph, x: VertexSet | None = None, *, guard: int = DEFAULT_CG_GUARD
 ) -> list[BoundReport]:
     """Evaluate every applicable stock bound for the pair (G, X).
 
-    Bounds whose hypotheses fail are skipped.  ``jobs`` > 1 evaluates the
-    bounds in that many worker processes.
+    The bounds run one after another in ``AUDIT_BOUNDS`` order; those
+    whose hypotheses fail are skipped.  ``domination_half`` enumerates
+    subsets, so its guard is capped at the oracle guard.
     """
-    if jobs < 1:
-        raise ValueError(f"jobs must be positive, got {jobs}")
     x = graph._coerce(x if x is not None else ())
-    tasks = [(name, graph, x, guard) for name in AUDIT_BOUNDS]
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(_audit_entry, tasks))
-    else:
-        results = [_audit_entry(task) for task in tasks]
-    return [r for r in results if r is not None]
+    evaluations = (
+        lambda: domination_half(graph, guard=min(guard, DEFAULT_ORACLE_GUARD)),
+        lambda: pd_third(graph, guard=guard),
+        lambda: restricted_pd_third(graph, x, guard=guard),
+        lambda: degree_sum(graph, x, guard=guard),
+        lambda: delta_ratio(graph, x, guard=guard),
+        lambda: neighborhood_blowup(graph, x, guard=guard),
+    )
+    reports = []
+    for evaluate in evaluations:
+        try:
+            reports.append(evaluate())
+        except BoundHypothesisError:
+            pass
+    return reports

@@ -34,10 +34,8 @@ from .forts import DEFAULT_FORT_GUARD, enumerate_forts, minimum_violated_fort
 from .graph import Graph, VertexSet, from_edge_list, to_edge_list
 from .propagation import (
     DEFAULT_TERMINAL_CAP,
-    closure_mask,
-    dominated_mask,
     enumerate_terminal_sets,
-    pd_final_mask,
+    final_mask,
     pd_observe,
     zf_closure,
 )
@@ -137,11 +135,7 @@ def _cmd_forts(args: argparse.Namespace) -> tuple[Graph, dict]:
         forts = enumerate_forts(graph, guard=_enum_guard(DEFAULT_FORT_GUARD))
         return graph, {"count": len(forts), "forts": [sorted(f.members) for f in forts]}
     x = _parse_set(args.x, graph)
-    final = (
-        pd_final_mask(graph.adj, x.mask)
-        if args.mode == "pd"
-        else closure_mask(graph.adj, x.mask)
-    )
+    final = final_mask(graph.adj, x.mask, args.mode)
     fort = minimum_violated_fort(graph, VertexSet.from_mask(graph.n, final))
     return graph, {"mode": args.mode, "fort": sorted(fort.members), "size": len(fort.members)}
 
@@ -165,9 +159,9 @@ def _cmd_tree_pd(args: argparse.Namespace) -> tuple[Graph, dict]:
     tree = _load_graph(args)
     vertex = None if args.split == "auto" else int(args.split)
     if tree.n <= 2:
-        res = tree_pd_parallel(tree, vertex, jobs=args.jobs)
+        res = tree_pd_parallel(tree, vertex)
         return tree, {**_result_payload(res), "split": None, "parts": []}
-    split = tree_split(tree, vertex, jobs=args.jobs)
+    split = tree_split(tree, vertex)
     parts = [
         {
             "vertices": sorted(part.index.to_old),
@@ -282,7 +276,7 @@ def _cmd_compose(args: argparse.Namespace) -> tuple[Graph, dict]:
 def _cmd_bounds(args: argparse.Namespace) -> tuple[Graph, dict]:
     graph = _load_graph(args)
     x = _parse_set(args.x, graph)
-    reports = audit(graph, x, jobs=args.jobs)
+    reports = audit(graph, x)
     return graph, {
         "bounds": [
             {
@@ -316,13 +310,7 @@ def _cmd_check(args: argparse.Namespace) -> tuple[Graph, dict]:
     graph = _load_graph(args)
     witness = _parse_set(args.witness, graph)
     x = _parse_set(args.x, graph)
-    full = (1 << graph.n) - 1
-    if args.mode == "pd":
-        feasible = pd_final_mask(graph.adj, witness.mask) == full
-    elif args.mode == "zf":
-        feasible = closure_mask(graph.adj, witness.mask) == full
-    else:
-        feasible = dominated_mask(graph.adj, witness.mask) == full
+    feasible = final_mask(graph.adj, witness.mask, args.mode) == (1 << graph.n) - 1
     contains_x = x.issubset(witness)
     return graph, {
         "mode": args.mode,
@@ -337,8 +325,16 @@ def _add_graph_arg(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--graph", help="edge list file (default: standard input)")
 
 
+class _Parser(argparse.ArgumentParser):
+    """Raises a usage error, so that ``main`` reports it as one line and
+    exit status 2 like every other input problem."""
+
+    def error(self, message: str):
+        raise ValueError(message)
+
+
 def _parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="pdzf",
         description="Exact restricted power domination and zero forcing.",
     )
@@ -373,7 +369,6 @@ def _parser() -> argparse.ArgumentParser:
     p = sub.add_parser("tree-pd", help="tree power domination by splitting")
     _add_graph_arg(p)
     p.add_argument("--split", default="auto", help="split vertex id, or auto")
-    p.add_argument("--jobs", type=int, default=1)
     p.set_defaults(handler=_cmd_tree_pd)
 
     p = sub.add_parser("compose", help="composition rules over JSON descriptors")
@@ -383,9 +378,7 @@ def _parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("bounds", help="evaluate the applicable bounds")
     _add_graph_arg(p)
-    p.add_argument("--audit", action="store_true", help="run the full audit (default)")
     p.add_argument("--x", help="comma-separated required vertices")
-    p.add_argument("--jobs", type=int, default=1)
     p.set_defaults(handler=_cmd_bounds)
 
     p = sub.add_parser("terminals", help="enumerate terminal sets of a forcing set")
@@ -410,9 +403,9 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = _parser().parse_args(argv)
-    start = time.perf_counter()
     try:
+        args = _parser().parse_args(argv)
+        start = time.perf_counter()
         if args.handler is _cmd_gen:
             _cmd_gen(args)
             return 0

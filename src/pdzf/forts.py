@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 from .errors import GuardExceededError, InfeasibleError
 from .graph import Graph, VertexSet, bits
-from .propagation import closure_mask, pd_final_mask
+from .propagation import final_mask
 
 __all__ = [
     "Fort",
@@ -56,12 +56,9 @@ def fort_from_failed_set(graph: Graph, s: VertexSet, mode: str = "pd") -> Fort:
     always violated by S: disjoint from N[S] for pd, disjoint from S for zf.
     """
     s = graph._coerce(s)
-    if mode == "pd":
-        final = pd_final_mask(graph.adj, s.mask)
-    elif mode == "zf":
-        final = closure_mask(graph.adj, s.mask)
-    else:
+    if mode not in ("pd", "zf"):
         raise ValueError(f"mode must be 'pd' or 'zf', got {mode!r}")
+    final = final_mask(graph.adj, s.mask, mode)
     full = (1 << graph.n) - 1
     if final == full:
         raise InfeasibleError("the set is already feasible; no fort to extract")

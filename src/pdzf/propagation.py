@@ -62,6 +62,16 @@ def pd_final_mask(adj: tuple[int, ...], s_mask: int) -> int:
     return closure_mask(adj, dominated_mask(adj, s_mask))
 
 
+def final_mask(adj: tuple[int, ...], mask: int, mode: str) -> int:
+    """Final bitmask of one run from *mask*: observed ("pd"), forced
+    ("zf"), or dominated (any other mode)."""
+    if mode == "pd":
+        return pd_final_mask(adj, mask)
+    if mode == "zf":
+        return closure_mask(adj, mask)
+    return dominated_mask(adj, mask)
+
+
 @dataclass(frozen=True)
 class PropagationTrace:
     """Round-by-round record of one propagation run.

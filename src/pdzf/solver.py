@@ -27,6 +27,7 @@ from .errors import GraphError, GuardExceededError
 from .graph import Graph, VertexSet, bits
 from .forts import Fort, minimum_violated_fort
 from .propagation import closure_mask, dominated_mask, pd_final_mask
+from .propagation import final_mask as _final_mask
 
 __all__ = [
     "SolveResult",
@@ -74,14 +75,6 @@ def _prepare(graph: Graph, x, mode: str) -> VertexSet:
     if graph.n == 0:
         raise GraphError("parameters of the empty graph are undefined")
     return graph._coerce(x if x is not None else ())
-
-
-def _final_mask(adj: tuple[int, ...], mask: int, mode: str) -> int:
-    if mode == "pd":
-        return pd_final_mask(adj, mask)
-    if mode == "zf":
-        return closure_mask(adj, mask)
-    return dominated_mask(adj, mask)
 
 
 def brute_force_min(
@@ -149,14 +142,14 @@ def _cover_greedy(rows: list[int], forced: int, n: int) -> int:
     chosen = forced
     active = [r for r in rows if r & chosen == 0]
     while active:
-        best_v, best_hits = -1, -1
-        union = 0
+        hits = [0] * n
         for r in active:
-            union |= r
-        for v in bits(union):
-            hits = sum(r >> v & 1 for r in active)
-            if hits > best_hits:
-                best_v, best_hits = v, hits
+            while r:
+                low = r & -r
+                r ^= low
+                hits[low.bit_length() - 1] += 1
+        # index() takes the lowest id among the most-hit vertices.
+        best_v = hits.index(max(hits))
         chosen |= 1 << best_v
         active = [r for r in active if r >> best_v & 1 == 0]
     return chosen
@@ -436,10 +429,7 @@ def k_restricted_number(
     Enumerates every X, so the oracle guard applies to n.  Mode "dom"
     falls back to enumeration per X; "pd" and "zf" use the cut solver.
     """
-    if mode not in _MODES:
-        raise ValueError(f"mode must be one of {_MODES}, got {mode!r}")
-    if graph.n == 0:
-        raise GraphError("parameters of the empty graph are undefined")
+    _prepare(graph, None, mode)
     if not 0 <= k <= graph.n:
         raise GraphError(f"k must lie in [0, {graph.n}], got {k}")
     if graph.n > guard:

@@ -238,20 +238,15 @@ def test_c3_leaf_attachment_identities():
 
 
 def test_c4_tree_theorem():
-    """Splitting at one vertex solves 200 random trees exactly, any job count."""
+    """Splitting at one vertex solves 200 random trees exactly."""
     rng = random.Random(407)
     trees = [random_tree(rng.randint(3, 60), rng) for _ in range(200)]
     for t in trees:
         direct = restricted_pd_number(t, None, min_forts=True)
-        split = tree_pd_parallel(t, jobs=1)
+        split = tree_pd_parallel(t)
         assert split.value == direct.value
         assert is_power_dominating_set(t, split.witness)
-    for t in trees[::40]:
-        serial = tree_pd_parallel(t, jobs=1)
-        parallel = tree_pd_parallel(t, jobs=4)
-        assert parallel.value == serial.value
-        assert parallel.witness == serial.witness
-    ok("4: the split theorem matches direct solves on 200 trees, jobs 1 and 4")
+    ok("4: the split theorem matches direct solves on 200 trees")
 
 
 def test_c5_bound_audit():

@@ -3,6 +3,8 @@
 import hashlib
 import io
 import json
+import os
+import subprocess
 import sys
 
 import pytest
@@ -221,7 +223,7 @@ class TestCompose:
 
 class TestBounds:
     def test_audit_payload(self, cli):
-        code, out, _ = cli(["bounds", "--audit", "--x", "1"], P5)
+        code, out, _ = cli(["bounds", "--x", "1"], P5)
         doc = doc_of(out)
         names = [b["name"] for b in doc["bounds"]]
         assert names == [
@@ -361,9 +363,30 @@ class TestInputContract:
             (["compose", "pendant"], json.dumps({"base": P4, "x": [0], "attachments": [{}]})),
             (["compose", "boundary"], json.dumps({"base": P4, "v1": [0, 1], "w1": [0]})),
             (["compose", "apex"], json.dumps({"base": P4, "x": [0], "t": [3], "cap": 0})),
+            (["solve", "--mode", "xx"], P4),
+            (["bounds", "--bogus"], P4),
+            ([], P4),
+            (["spread"], P4),
+            (["tree-pd", "--jobs", "2"], P4),
         ],
     )
     def test_malformed_input_exits_2(self, cli, argv, stdin):
         code, out, err = cli(argv, stdin)
         assert code == 2 and out == ""
         assert err.startswith("error:") and err.count("\n") == 1
+
+
+def test_import_starts_no_process_pool():
+    # Importing the pool machinery costs a large share of CLI start-up.
+    code = (
+        "import pdzf.cli, sys; "
+        "print(sorted(m for m in sys.modules "
+        "if m.split('.')[0] in ('concurrent', 'multiprocessing')))"
+    )
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = {**os.environ, "PYTHONPATH": src}
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

@@ -126,15 +126,6 @@ class TestTreePdParallel:
             assert res.value == brute_force_min(t, None, "pd").value
             assert is_power_dominating_set(t, res.witness)
 
-    def test_workers_agree_with_serial(self):
-        rng = random.Random(73)
-        for _ in range(3):
-            t = random_tree(rng.randint(8, 14), rng)
-            serial = tree_pd_parallel(t, jobs=1)
-            parallel = tree_pd_parallel(t, jobs=2)
-            assert parallel.value == serial.value
-            assert parallel.witness == serial.witness
-
     def test_rejects_non_trees(self):
         with pytest.raises(NotATreeError):
             tree_pd_parallel(generate("complete", (4,)))

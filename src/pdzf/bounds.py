@@ -14,17 +14,10 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .decomposition import compose_boundary_pd
-from .errors import BoundHypothesisError
+from .errors import BoundHypothesisError, GuardExceededError
 from .graph import Graph, VertexSet
 from .propagation import is_power_dominating_set, is_zero_forcing_set
-from .solver import (
-    DEFAULT_CG_GUARD,
-    DEFAULT_ORACLE_GUARD,
-    _cover_exact,
-    brute_force_min,
-    restricted_pd_number,
-    restricted_zf_number,
-)
+from .solver import DEFAULT_CG_GUARD, _cover_exact, restricted_pd_number, restricted_zf_number
 
 __all__ = [
     "BoundReport",
@@ -63,25 +56,32 @@ def _report(name: str, lhs, rhs, **context) -> BoundReport:
     )
 
 
-def domination_half(graph: Graph, *, guard: int = DEFAULT_ORACLE_GUARD) -> BoundReport:
-    """gamma(G) <= n / 2 for a graph without isolated vertices."""
+def domination_half(graph: Graph) -> BoundReport:
+    """gamma(G) <= n / 2 for a graph without isolated vertices.
+
+    A dominating set meets every closed neighborhood, so gamma(G) is the
+    exact set cover of those rows that the solvers' master computes.
+    """
     if graph.n == 0 or any(graph.degree(v) == 0 for v in graph.vertices()):
         raise BoundHypothesisError("the graph must have no isolated vertices")
-    lhs = brute_force_min(graph, None, "dom", guard=guard).value
-    return _report("domination_half", lhs, Fraction(graph.n, 2))
+    if graph.n > DEFAULT_CG_GUARD:
+        raise GuardExceededError(
+            f"set cover guard is {DEFAULT_CG_GUARD}, graph has {graph.n} vertices"
+        )
+    rows = [a | 1 << v for v, a in enumerate(graph.adj)]
+    cover, _ = _cover_exact(graph.n, tuple(a.bit_count() for a in graph.adj), rows, 0)
+    return _report("domination_half", cover.bit_count(), Fraction(graph.n, 2))
 
 
-def pd_third(graph: Graph, *, guard: int = DEFAULT_CG_GUARD) -> BoundReport:
+def pd_third(graph: Graph) -> BoundReport:
     """gamma_P(G) <= floor(n / 3) for a connected graph on n >= 3 vertices."""
     if graph.n < 3 or not graph.is_connected():
         raise BoundHypothesisError("the graph must be connected with at least 3 vertices")
-    lhs = restricted_pd_number(graph, None, guard=guard).value
+    lhs = restricted_pd_number(graph, None).value
     return _report("pd_third", lhs, graph.n // 3)
 
 
-def restricted_pd_third(
-    graph: Graph, x: VertexSet | None = None, *, guard: int = DEFAULT_CG_GUARD
-) -> BoundReport:
+def restricted_pd_third(graph: Graph, x: VertexSet | None = None) -> BoundReport:
     """gamma_P(G; X) <= floor((n + 2|X|) / 3), G connected on n >= 3 vertices.
 
     Attaching two leaves to every vertex of X preserves the restricted
@@ -92,7 +92,7 @@ def restricted_pd_third(
     if graph.n < 3 or not graph.is_connected():
         raise BoundHypothesisError("the graph must be connected with at least 3 vertices")
     x = graph._coerce(x if x is not None else ())
-    lhs = restricted_pd_number(graph, x, guard=guard).value
+    lhs = restricted_pd_number(graph, x).value
     return _report("restricted_pd_third", lhs, (graph.n + 2 * len(x)) // 3)
 
 
@@ -116,9 +116,7 @@ def _check_inner_pds(graph: Graph, inner, s, mode: str):
     return inner, outside, s
 
 
-def extension_half(
-    graph: Graph, inner, s, *, guard: int = DEFAULT_CG_GUARD
-) -> BoundReport:
+def extension_half(graph: Graph, inner, s) -> BoundReport:
     """gamma_P(G; S) <= |S| + outside / 2 + isolated / 2.
 
     S power dominates the subgraph induced by ``inner``; ``outside`` and
@@ -129,7 +127,7 @@ def extension_half(
     inner, outside, s = _check_inner_pds(graph, inner, s, "pd")
     out_sub, _ = graph.induced_subgraph(outside)
     isolated = sum(1 for v in out_sub.vertices() if out_sub.degree(v) == 0)
-    lhs = restricted_pd_number(graph, s, guard=guard).value
+    lhs = restricted_pd_number(graph, s).value
     rhs = len(s) + Fraction(len(outside), 2) + Fraction(isolated, 2)
     return _report("extension_half", lhs, rhs, outside=len(outside), isolated=isolated)
 
@@ -140,7 +138,6 @@ def component_sum_pd(
     s,
     *,
     dominating_variant: bool = False,
-    guard: int = DEFAULT_CG_GUARD,
 ) -> BoundReport:
     """gamma_P(G; S) <= |S| + sum over outside components of gamma_P(H; N_H).
 
@@ -174,13 +171,13 @@ def component_sum_pd(
             anchor = VertexSet.from_mask(part.n, cover)
         else:
             anchor = pmap.restrict(comp_big & uncovered)
-        res = restricted_pd_number(part, anchor, guard=guard)
+        res = restricted_pd_number(part, anchor)
         total += res.value
         witness_mask |= pmap.lift(res.witness).mask
         anchors.append(pmap.lift(anchor))
     witness = VertexSet.from_mask(graph.n, witness_mask)
     assert is_power_dominating_set(graph, witness)
-    lhs = restricted_pd_number(graph, s, guard=guard).value
+    lhs = restricted_pd_number(graph, s).value
     return _report(
         "component_sum_pd",
         lhs,
@@ -191,9 +188,7 @@ def component_sum_pd(
     )
 
 
-def third_boundary(
-    graph: Graph, inner, s, *, guard: int = DEFAULT_CG_GUARD
-) -> BoundReport:
+def third_boundary(graph: Graph, inner, s) -> BoundReport:
     """gamma_P(G; S) <= |S| + outside / 3 + |outside border of the undominated|.
 
     S power dominates the subgraph induced by ``inner`` and every outside
@@ -206,14 +201,12 @@ def third_boundary(
         raise BoundHypothesisError("every outside component needs at least 3 vertices")
     dominated = graph.closed_neighborhood(s) & inner
     border = graph.closed_neighborhood(inner - dominated) & outside
-    lhs = restricted_pd_number(graph, s, guard=guard).value
+    lhs = restricted_pd_number(graph, s).value
     rhs = len(s) + Fraction(len(outside), 3) + len(border)
     return _report("third_boundary", lhs, rhs, outside=len(outside), border=len(border))
 
 
-def partition_pd(
-    graph: Graph, v1, w1, w2, *, guard: int = DEFAULT_CG_GUARD
-) -> BoundReport:
+def partition_pd(graph: Graph, v1, w1, w2) -> BoundReport:
     """gamma_P(G) <= gamma_P(G; W1 | W2) <= gamma_P(G1; W1) + gamma_P(G2; W2).
 
     V1 and its complement split the graph; W1 | W2 must dominate every
@@ -221,19 +214,17 @@ def partition_pd(
     the middle and right terms; the unrestricted value rides in the
     context.
     """
-    bound = compose_boundary_pd(graph, v1, w1, w2, guard=guard)
+    bound = compose_boundary_pd(graph, v1, w1, w2)
     w = graph._coerce(w1) | graph._coerce(w2)
-    lhs = restricted_pd_number(graph, w, guard=guard).value
-    free = restricted_pd_number(graph, None, guard=guard).value
+    lhs = restricted_pd_number(graph, w).value
+    free = restricted_pd_number(graph, None).value
     assert free <= lhs
     return _report(
         "partition_pd", lhs, bound.value, witness=bound.witness, unrestricted=free
     )
 
 
-def component_sum_zf(
-    graph: Graph, inner, b, *, guard: int = DEFAULT_CG_GUARD
-) -> BoundReport:
+def component_sum_zf(graph: Graph, inner, b) -> BoundReport:
     """Z(G; B) <= |B| + sum over outside components of Z(H; N_H).
 
     B forces the subgraph induced by ``inner``; N_H consists of the
@@ -251,19 +242,19 @@ def component_sum_zf(
         comp_big = out_map.lift(comp)
         part, pmap = graph.induced_subgraph(comp_big)
         anchor = pmap.restrict(comp_big & reach)
-        res = restricted_zf_number(part, anchor, guard=guard)
+        res = restricted_zf_number(part, anchor)
         total += res.value
         witness_mask |= pmap.lift(res.witness).mask
         anchors.append(pmap.lift(anchor))
     witness = VertexSet.from_mask(graph.n, witness_mask)
     assert is_zero_forcing_set(graph, witness)
-    lhs = restricted_zf_number(graph, b, guard=guard).value
+    lhs = restricted_zf_number(graph, b).value
     return _report(
         "component_sum_zf", lhs, total, witness=witness, anchors=tuple(anchors)
     )
 
 
-def partition_zf(graph: Graph, v1, *, guard: int = DEFAULT_CG_GUARD) -> BoundReport:
+def partition_zf(graph: Graph, v1) -> BoundReport:
     """Z(G) <= min over orders of Z(one side) + Z(other side; its border).
 
     V1 and its complement split the graph.  The free side forces first,
@@ -278,19 +269,19 @@ def partition_zf(graph: Graph, v1, *, guard: int = DEFAULT_CG_GUARD) -> BoundRep
     g1, i1 = graph.induced_subgraph(v1)
     g2, i2 = graph.induced_subgraph(v2)
     first = (
-        restricted_zf_number(g1, None, guard=guard),
-        restricted_zf_number(g2, i2.restrict(n2), guard=guard),
+        restricted_zf_number(g1, None),
+        restricted_zf_number(g2, i2.restrict(n2)),
     )
     second = (
-        restricted_zf_number(g1, i1.restrict(n1), guard=guard),
-        restricted_zf_number(g2, None, guard=guard),
+        restricted_zf_number(g1, i1.restrict(n1)),
+        restricted_zf_number(g2, None),
     )
     sums = (first[0].value + first[1].value, second[0].value + second[1].value)
     side = 0 if sums[0] <= sums[1] else 1
     pair = first if side == 0 else second
     witness = i1.lift(pair[0].witness) | i2.lift(pair[1].witness)
     assert is_zero_forcing_set(graph, witness)
-    lhs = restricted_zf_number(graph, None, guard=guard).value
+    lhs = restricted_zf_number(graph, None).value
     return _report(
         "partition_zf", lhs, min(sums), witness=witness, sums=sums, free_side=side + 1
     )
@@ -300,8 +291,6 @@ def degree_sum(
     graph: Graph,
     x: VertexSet | None = None,
     s: VertexSet | None = None,
-    *,
-    guard: int = DEFAULT_CG_GUARD,
 ) -> BoundReport:
     """Z(G; X) <= sum of deg u over a power dominating set S containing X.
 
@@ -314,7 +303,7 @@ def degree_sum(
         raise BoundHypothesisError("the graph must have no isolated vertices")
     x = graph._coerce(x if x is not None else ())
     if s is None:
-        s = restricted_pd_number(graph, x, guard=guard).witness
+        s = restricted_pd_number(graph, x).witness
     else:
         s = graph._coerce(s)
         if not x.issubset(s):
@@ -331,35 +320,31 @@ def degree_sum(
     witness = VertexSet.from_mask(graph.n, blown)
     assert is_zero_forcing_set(graph, witness)
     rhs = sum(graph.degree(u) for u in s)
-    lhs = restricted_zf_number(graph, x, guard=guard).value
+    lhs = restricted_zf_number(graph, x).value
     assert lhs <= len(witness) <= rhs
     return _report("degree_sum", lhs, rhs, witness=witness, pds=s)
 
 
-def delta_ratio(
-    graph: Graph, x: VertexSet | None = None, *, guard: int = DEFAULT_CG_GUARD
-) -> BoundReport:
+def delta_ratio(graph: Graph, x: VertexSet | None = None) -> BoundReport:
     """ceil(Z(G; X) / max degree) <= gamma_P(G; X), for max degree >= 1."""
     if graph.n == 0 or graph.max_degree() < 1:
         raise BoundHypothesisError("the graph must have an edge")
     x = graph._coerce(x if x is not None else ())
-    z = restricted_zf_number(graph, x, guard=guard).value
+    z = restricted_zf_number(graph, x).value
     lhs = -(-z // graph.max_degree())
-    rhs = restricted_pd_number(graph, x, guard=guard).value
+    rhs = restricted_pd_number(graph, x).value
     return _report("delta_ratio", lhs, rhs, forcing=z)
 
 
-def neighborhood_blowup(
-    graph: Graph, x: VertexSet | None = None, *, guard: int = DEFAULT_CG_GUARD
-) -> BoundReport:
+def neighborhood_blowup(graph: Graph, x: VertexSet | None = None) -> BoundReport:
     """Z(G; N[X]) <= (max degree + 1) * gamma_P(G; X).
 
     The closed neighborhood of a power dominating set through X forces
     the graph and contains N[X].
     """
     x = graph._coerce(x if x is not None else ())
-    lhs = restricted_zf_number(graph, graph.closed_neighborhood(x), guard=guard).value
-    rhs = (graph.max_degree() + 1) * restricted_pd_number(graph, x, guard=guard).value
+    lhs = restricted_zf_number(graph, graph.closed_neighborhood(x)).value
+    rhs = (graph.max_degree() + 1) * restricted_pd_number(graph, x).value
     return _report("neighborhood_blowup", lhs, rhs)
 
 
@@ -373,23 +358,22 @@ AUDIT_BOUNDS = (
 )
 
 
-def audit(
-    graph: Graph, x: VertexSet | None = None, *, guard: int = DEFAULT_CG_GUARD
-) -> list[BoundReport]:
+def audit(graph: Graph, x: VertexSet | None = None) -> list[BoundReport]:
     """Evaluate every applicable stock bound for the pair (G, X).
 
     The bounds run one after another in ``AUDIT_BOUNDS`` order; those
-    whose hypotheses fail are skipped.  ``domination_half`` enumerates
-    subsets, so its guard is capped at the oracle guard.
+    whose hypotheses fail are skipped.  Every bound solves exactly
+    through the set-cover master, so a graph above ``DEFAULT_CG_GUARD``
+    vertices raises GuardExceededError.
     """
     x = graph._coerce(x if x is not None else ())
     evaluations = (
-        lambda: domination_half(graph, guard=min(guard, DEFAULT_ORACLE_GUARD)),
-        lambda: pd_third(graph, guard=guard),
-        lambda: restricted_pd_third(graph, x, guard=guard),
-        lambda: degree_sum(graph, x, guard=guard),
-        lambda: delta_ratio(graph, x, guard=guard),
-        lambda: neighborhood_blowup(graph, x, guard=guard),
+        lambda: domination_half(graph),
+        lambda: pd_third(graph),
+        lambda: restricted_pd_third(graph, x),
+        lambda: degree_sum(graph, x),
+        lambda: delta_ratio(graph, x),
+        lambda: neighborhood_blowup(graph, x),
     )
     reports = []
     for evaluate in evaluations:

@@ -6,8 +6,10 @@ schema marker, command echo, a 12-hex digest of the canonical edge list,
 the per-command payload, and a trailing ``runtime_ms`` field, the only
 one allowed to vary between identical runs.  ``gen`` writes edge-list
 text so it can be piped straight back in.  Exit status is 0 on success,
-2 on any input problem, 3 when a guard stops an enumeration; the
-environment variable PDZF_GUARD_N overrides the enumeration guards.
+2 on any input problem, 3 when any guard stops the computation (the
+vertex limits of the oracle, fort enumeration and the 64-vertex solver,
+or the terminal-set cap); the environment variable PDZF_GUARD_N
+overrides the oracle and fort enumeration guards.
 """
 
 from __future__ import annotations
@@ -55,7 +57,10 @@ def _enum_guard(default: int) -> int:
     env = os.environ.get("PDZF_GUARD_N")
     if env is None:
         return default
-    return int(env)
+    guard = int(env)
+    if guard < 1:
+        raise ValueError(f"PDZF_GUARD_N must be positive, got {guard}")
+    return guard
 
 
 def _parse_set(text: str | None, graph: Graph) -> VertexSet:

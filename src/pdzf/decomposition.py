@@ -275,15 +275,13 @@ class LeafClassification:
     witness: VertexSet
 
 
-def leaf_classify(
-    graph: Graph, u: int, *, guard: int = DEFAULT_CG_GUARD
-) -> LeafClassification:
+def leaf_classify(graph: Graph, u: int) -> LeafClassification:
     """Classify the leaf u by comparing the anchored and deleted minima."""
     graph._check_vertex(u)
     if graph.degree(u) != 1:
         raise GraphError(f"vertex {u} has degree {graph.degree(u)}, not a leaf")
-    anchored = restricted_pd_number(graph, graph.vertex_set((u,)), guard=guard)
-    deleted = restricted_pd_number(graph.delete_vertex(u), None, guard=guard)
+    anchored = restricted_pd_number(graph, graph.vertex_set((u,)))
+    deleted = restricted_pd_number(graph.delete_vertex(u))
     assert anchored.value - deleted.value in (0, 1)
     idle = anchored.value == deleted.value + 1
     if idle:
@@ -340,8 +338,6 @@ def compose_boundary_pd(
     v1: VertexSet,
     w1: VertexSet,
     w2: VertexSet,
-    *,
-    guard: int = DEFAULT_CG_GUARD,
 ) -> CompositionBound:
     """Upper bound on the minimum power dominating set through W1 | W2.
 
@@ -365,18 +361,18 @@ def compose_boundary_pd(
         raise BoundHypothesisError("the restrictions must dominate every border vertex")
     g1, i1 = graph.induced_subgraph(v1)
     g2, i2 = graph.induced_subgraph(v2)
-    r1 = restricted_pd_number(g1, i1.restrict(w1), guard=guard)
-    r2 = restricted_pd_number(g2, i2.restrict(w2), guard=guard)
+    r1 = restricted_pd_number(g1, i1.restrict(w1))
+    r2 = restricted_pd_number(g2, i2.restrict(w2))
     witness = i1.lift(r1.witness) | i2.lift(r2.witness)
     assert (w1 | w2).issubset(witness)
     assert is_power_dominating_set(graph, witness)
     return CompositionBound(value=r1.value + r2.value, witness=witness, parts=(r1, r2))
 
 
-def _require_minimum_forcing_set(graph: Graph, x: VertexSet, guard: int) -> SolveResult:
+def _require_minimum_forcing_set(graph: Graph, x: VertexSet) -> SolveResult:
     if not is_zero_forcing_set(graph, x):
         raise BoundHypothesisError("the anchor set does not force the graph")
-    base = restricted_zf_number(graph, None, guard=guard)
+    base = restricted_zf_number(graph)
     if len(x) != base.value:
         raise BoundHypothesisError(
             f"the anchor set has size {len(x)}, the forcing number is {base.value}"
@@ -404,7 +400,6 @@ def compose_pendant_zf(
     x: VertexSet,
     attachments: tuple[tuple[Graph, int, int], ...],
     *,
-    guard: int = DEFAULT_CG_GUARD,
     cap: int = DEFAULT_TERMINAL_CAP,
 ) -> PendantComposition:
     """Exact forcing number of a graph with branches glued onto terminals.
@@ -417,7 +412,7 @@ def compose_pendant_zf(
     branch reuses.
     """
     x = graph._coerce(x)
-    base = _require_minimum_forcing_set(graph, x, guard)
+    base = _require_minimum_forcing_set(graph, x)
     ats = []
     for branch, root, at in attachments:
         branch._check_vertex(root)
@@ -452,7 +447,7 @@ def compose_pendant_zf(
     cuts = base.cuts_added
     nodes = base.nodes
     for (branch, root, at), place in zip(attachments, placements):
-        res = restricted_zf_number(branch, branch.vertex_set((root,)), guard=guard)
+        res = restricted_zf_number(branch, branch.vertex_set((root,)))
         parts.append(res)
         cuts += res.cuts_added
         nodes += res.nodes
@@ -492,7 +487,6 @@ def check_apex_terminal(
     x: VertexSet,
     t: VertexSet,
     *,
-    guard: int = DEFAULT_CG_GUARD,
     cap: int = DEFAULT_TERMINAL_CAP,
 ) -> ApexTerminalReport:
     """Relate the terminal sets of X to the graph with an apex over T.
@@ -506,14 +500,14 @@ def check_apex_terminal(
     t = graph._coerce(t)
     if not t:
         raise GraphError("the apex neighborhood must be nonempty")
-    _require_minimum_forcing_set(graph, x, guard)
+    _require_minimum_forcing_set(graph, x)
     sets = enumerate_terminal_sets(graph, x, cap)
     covered = any(t.issubset(ts) for ts in sets)
     touched = any(not t.isdisjoint(ts) for ts in sets)
     apexed = apex_over(graph, t)
     lifted = VertexSet(apexed.n, x)
     forces_apex = is_zero_forcing_set(apexed, lifted)
-    result = restricted_zf_number(apexed, lifted, guard=guard)
+    result = restricted_zf_number(apexed, lifted)
     assert not covered or (forces_apex and result.value == len(x))
     assert not forces_apex or touched
     return ApexTerminalReport(

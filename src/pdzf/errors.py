@@ -44,7 +44,7 @@ class EdgeCountMismatchError(EdgeListError):
 
 
 class GuardExceededError(PdzfError):
-    """An instance is larger than the configured enumeration guard."""
+    """An instance exceeds the guard of an exponential computation."""
 
 
 class InfeasibleError(PdzfError):

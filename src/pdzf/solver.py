@@ -117,14 +117,14 @@ def minimum_solutions(
     graph: Graph,
     x: VertexSet | None = None,
     mode: str = "pd",
-    *,
-    guard: int = DEFAULT_EXHAUSTIVE_GUARD,
 ) -> list[VertexSet]:
     """Every minimum feasible superset of X, in lexicographic order."""
     x = _prepare(graph, x, mode)
-    if graph.n > guard:
-        raise GuardExceededError(f"exhaustive guard is {guard}, graph has {graph.n} vertices")
-    best = brute_force_min(graph, x, mode, guard=guard).value
+    if graph.n > DEFAULT_EXHAUSTIVE_GUARD:
+        raise GuardExceededError(
+            f"exhaustive guard is {DEFAULT_EXHAUSTIVE_GUARD}, graph has {graph.n} vertices"
+        )
+    best = brute_force_min(graph, x, mode).value
     adj = graph.adj
     full = (1 << graph.n) - 1
     free = [v for v in range(graph.n) if v not in x]
@@ -215,7 +215,7 @@ def _cg(
     x: VertexSet,
     mode: str,
     min_forts: bool,
-    guard: int,
+    guard: int = DEFAULT_CG_GUARD,
     cut_log: list | None = None,
 ) -> SolveResult:
     if graph.n > guard:
@@ -297,7 +297,6 @@ def pd_number_disconnected(
     x: VertexSet | None = None,
     *,
     min_forts: bool = False,
-    guard: int = DEFAULT_CG_GUARD,
 ) -> SolveResult:
     """Restricted power domination via the component decomposition.
 
@@ -313,7 +312,7 @@ def pd_number_disconnected(
     for comp in graph.components():
         if len(comp) >= 3:
             sub, index = graph.induced_subgraph(comp)
-            res = _cg(sub, index.restrict(x), "pd", min_forts, guard)
+            res = _cg(sub, index.restrict(x), "pd", min_forts)
             value += res.value
             witness_mask |= index.lift(res.witness).mask
             cuts += res.cuts_added
@@ -335,26 +334,18 @@ def pd_number_disconnected(
     )
 
 
-def reduction_pd_number(
-    graph: Graph,
-    x: VertexSet | None = None,
-    *,
-    guard: int = DEFAULT_CG_GUARD,
-) -> SolveResult:
+def reduction_pd_number(graph: Graph, x: VertexSet | None = None) -> SolveResult:
     """Restricted power domination via pendant-leaf attachment.
 
     Attaching three leaves to every vertex of X makes each of them
     mandatory, so the unrestricted minimum of the attachment equals the
     restricted minimum of the base graph and its witnesses avoid the new
     leaves (two leaves per vertex already preserve the value; the third
-    pins the witness).  With empty X the graph is solved as is.
+    pins the witness).
     """
     x = _prepare(graph, x, "pd")
-    if not x:
-        res = _cg(graph, x, "pd", True, guard)
-        return SolveResult(res.value, res.witness, "reduction", res.cuts_added, res.nodes)
     grown = attach_leaves(graph, x, 3).graph
-    res = _cg(grown, VertexSet(grown.n), "pd", True, guard)
+    res = _cg(grown, VertexSet(grown.n), "pd", True)
     assert res.witness.mask >> graph.n == 0, "a minimum solution used an attached leaf"
     witness = VertexSet.from_mask(graph.n, res.witness.mask)
     assert x.issubset(witness)
@@ -362,21 +353,21 @@ def reduction_pd_number(
     return SolveResult(res.value, witness, "reduction", res.cuts_added, res.nodes)
 
 
-def _spread_solves(graph: Graph, v: int, guard: int) -> tuple[int, SolveResult, SolveResult]:
+def _spread_solves(graph: Graph, v: int) -> tuple[int, SolveResult, SolveResult]:
     """The spread of v with the two solves it is read from, Z(G) and Z(G - v)."""
     graph._check_vertex(v)
     if graph.n < 2:
         raise GraphError("vertex spread needs at least two vertices")
-    z_res = _cg(graph, VertexSet(graph.n), "zf", False, guard)
-    z_minus_res = _cg(graph.delete_vertex(v), VertexSet(graph.n - 1), "zf", False, guard)
+    z_res = _cg(graph, VertexSet(graph.n), "zf", False)
+    z_minus_res = _cg(graph.delete_vertex(v), VertexSet(graph.n - 1), "zf", False)
     out = z_res.value - z_minus_res.value
     assert out in (-1, 0, 1)
     return out, z_res, z_minus_res
 
 
-def spread(graph: Graph, v: int, *, guard: int = DEFAULT_CG_GUARD) -> int:
+def spread(graph: Graph, v: int) -> int:
     """Z(G) - Z(G - v); always -1, 0 or 1."""
-    return _spread_solves(graph, v, guard)[0]
+    return _spread_solves(graph, v)[0]
 
 
 def _lift_deleted(s: VertexSet, v: int) -> VertexSet:
@@ -384,9 +375,7 @@ def _lift_deleted(s: VertexSet, v: int) -> VertexSet:
     return VertexSet(s.n + 1, (u if u < v else u + 1 for u in s))
 
 
-def spread_and_single(
-    graph: Graph, v: int, *, guard: int = DEFAULT_CG_GUARD
-) -> tuple[int, SolveResult]:
+def spread_and_single(graph: Graph, v: int) -> tuple[int, SolveResult]:
     """The spread of v together with Z(G; {v}), sharing the solves of Z(G)
     and Z(G - v) that both are read from.
 
@@ -395,7 +384,7 @@ def spread_and_single(
     Z(G) + 1, witnessed by any minimum set plus v.  Spread 0 decides
     nothing, so that case is solved directly.
     """
-    s, z_res, z_minus_res = _spread_solves(graph, v, guard)
+    s, z_res, z_minus_res = _spread_solves(graph, v)
     if s == 1:
         witness = _lift_deleted(z_minus_res.witness, v) | VertexSet(graph.n, (v,))
         result = SolveResult(z_res.value, witness, "reduction")
@@ -403,45 +392,42 @@ def spread_and_single(
         witness = z_res.witness | VertexSet(graph.n, (v,))
         result = SolveResult(z_res.value + 1, witness, "reduction")
     else:
-        return s, _cg(graph, VertexSet(graph.n, (v,)), "zf", False, guard)
+        return s, _cg(graph, VertexSet(graph.n, (v,)), "zf", False)
     assert len(result.witness) == result.value
     assert closure_mask(graph.adj, result.witness.mask) == (1 << graph.n) - 1
     return s, result
 
 
-def z_restricted_single(graph: Graph, v: int, *, guard: int = DEFAULT_CG_GUARD) -> SolveResult:
+def z_restricted_single(graph: Graph, v: int) -> SolveResult:
     """Z(G; {v}) through the spread of v (see ``spread_and_single``)."""
     graph._check_vertex(v)
     if graph.n == 1:
         return SolveResult(1, VertexSet(1, (0,)), "reduction")
-    return spread_and_single(graph, v, guard=guard)[1]
+    return spread_and_single(graph, v)[1]
 
 
-def k_restricted_number(
-    graph: Graph,
-    k: int,
-    mode: str = "pd",
-    *,
-    guard: int = DEFAULT_ORACLE_GUARD,
-) -> tuple[int, VertexSet]:
+def k_restricted_number(graph: Graph, k: int, mode: str = "pd") -> tuple[int, VertexSet]:
     """Worst restricted value over all X of size k, with a maximizing X.
 
-    Enumerates every X, so the oracle guard applies to n.  Mode "dom"
-    falls back to enumeration per X; "pd" and "zf" use the cut solver.
+    Enumerates every X, so ``DEFAULT_ORACLE_GUARD`` applies to n.  Mode
+    "dom" solves each X by enumeration (``brute_force_min``), "pd" and
+    "zf" by constraint generation.
     """
     _prepare(graph, None, mode)
     if not 0 <= k <= graph.n:
         raise GraphError(f"k must lie in [0, {graph.n}], got {k}")
-    if graph.n > guard:
-        raise GuardExceededError(f"enumeration guard is {guard}, graph has {graph.n} vertices")
+    if graph.n > DEFAULT_ORACLE_GUARD:
+        raise GuardExceededError(
+            f"enumeration guard is {DEFAULT_ORACLE_GUARD}, graph has {graph.n} vertices"
+        )
     best = -1
     best_x = VertexSet(graph.n)
     for combo in combinations(range(graph.n), k):
         x = VertexSet(graph.n, combo)
         if mode == "dom":
-            value = brute_force_min(graph, x, "dom", guard=guard).value
+            value = brute_force_min(graph, x, "dom").value
         else:
-            value = _cg(graph, x, mode, False, max(guard, DEFAULT_CG_GUARD)).value
+            value = _cg(graph, x, mode, False).value
         if value > best:
             best, best_x = value, x
     return best, best_x

@@ -9,6 +9,7 @@ from pdzf import (
     AUDIT_BOUNDS,
     BoundHypothesisError,
     Graph,
+    GuardExceededError,
     audit,
     brute_force_min,
     component_sum_pd,
@@ -27,7 +28,7 @@ from pdzf import (
     third_boundary,
 )
 
-from util import random_connected_graph, random_subset
+from util import graph_sweep, random_connected_graph, random_subset
 
 
 def assert_tight(report, value):
@@ -117,6 +118,18 @@ class TestExactArithmetic:
         report = extension_half(g, [0, 1], g.vertex_set([0]))
         assert report.rhs == 1 + Fraction(3, 2)
         assert report.holds
+
+
+class TestDominationNumber:
+    def test_matches_oracle(self):
+        for g in graph_sweep(6):
+            if g.n > 1:
+                assert domination_half(g).lhs == brute_force_min(g, None, "dom").value
+
+    def test_guard(self):
+        assert domination_half(generate("path", (64,))).lhs == 22
+        with pytest.raises(GuardExceededError):
+            domination_half(generate("path", (65,)))
 
 
 class TestBoundsHoldEverywhere:

@@ -238,6 +238,16 @@ class TestBounds:
         half = doc["bounds"][0]
         assert half["rhs"] == "5/2"
 
+    def test_past_the_oracle_guard(self, cli):
+        # gamma(G) comes from the set-cover master, not from enumeration,
+        # so the audit runs on every graph the 64-vertex guard admits.
+        code, out, _ = cli(["bounds"], to_edge_list(generate("path", (21,))))
+        assert code == 0
+        doc = doc_of(out)
+        assert len(doc["bounds"]) == 6
+        assert doc["bounds"][0]["name"] == "domination_half"
+        assert doc["bounds"][0]["lhs"] == 7
+
 
 class TestTerminals:
     def test_square(self, cli):
@@ -321,9 +331,11 @@ class TestGuardOverride:
         assert code == 0 and doc_of(out)["count"] > 0
 
     def test_invalid_override(self, cli, monkeypatch):
-        monkeypatch.setenv("PDZF_GUARD_N", "many")
-        code, _, err = cli(["solve", "--method", "oracle"], P3)
-        assert code == 2 and err.startswith("error:")
+        for value in ("many", "-1", "0"):
+            monkeypatch.setenv("PDZF_GUARD_N", value)
+            code, out, err = cli(["solve", "--method", "oracle"], P3)
+            assert code == 2 and out == ""
+            assert err.startswith("error:") and err.count("\n") == 1
 
 
 class TestDeterminism:

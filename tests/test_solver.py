@@ -445,6 +445,22 @@ class TestConstraintGeneration:
             assert restricted_zf_number(g, x).value == zf_expected
             assert restricted_zf_number(g, x, min_forts=True).value == zf_expected
 
+    def test_reduction_without_x_attaches_nothing(self):
+        # With empty X the attachment is the graph itself, so the
+        # reduction runs the minimum-fort solve of the graph unchanged.
+        rng = random.Random(41)
+        for _ in range(40):
+            g = random_graph(rng.randint(1, 14), rng)
+            red = reduction_pd_number(g)
+            cg = restricted_pd_number(g, min_forts=True)
+            assert red.method == "reduction"
+            assert (red.value, red.witness, red.cuts_added, red.nodes) == (
+                cg.value,
+                cg.witness,
+                cg.cuts_added,
+                cg.nodes,
+            )
+
 
 class TestDisconnected:
     def test_component_sum(self):

@@ -156,26 +156,23 @@ def component_sum_pd(
     else:
         uncovered = graph.closed_neighborhood(inner - dominated)
     out_sub, out_map = graph.induced_subgraph(outside)
-    total = len(s)
-    witness_mask = s.mask
     anchors = []
     for comp in out_sub.components():
         comp_big = out_map.lift(comp)
-        part, pmap = graph.induced_subgraph(comp_big)
         if dominating_variant:
+            part, pmap = graph.induced_subgraph(comp_big)
             targets = pmap.restrict(comp_big & uncovered)
             rows = [part.closed_neighborhood((w,)).mask for w in targets]
             cover, _ = _cover_exact(
                 part.n, tuple(part.degree(v) for v in part.vertices()), rows, 0
             )
-            anchor = VertexSet.from_mask(part.n, cover)
+            anchors.append(pmap.lift(VertexSet.from_mask(part.n, cover)))
         else:
-            anchor = pmap.restrict(comp_big & uncovered)
-        res = restricted_pd_number(part, anchor)
-        total += res.value
-        witness_mask |= pmap.lift(res.witness).mask
-        anchors.append(pmap.lift(anchor))
-    witness = VertexSet.from_mask(graph.n, witness_mask)
+            anchors.append(comp_big & uncovered)
+    anchor = VertexSet(graph.n, (v for a in anchors for v in a))
+    res = restricted_pd_number(out_sub, out_map.restrict(anchor))
+    total = len(s) + res.value
+    witness = s | out_map.lift(res.witness)
     assert is_power_dominating_set(graph, witness)
     lhs = restricted_pd_number(graph, s).value
     return _report(
@@ -235,18 +232,10 @@ def component_sum_zf(graph: Graph, inner, b) -> BoundReport:
     inner, outside, b = _check_inner_pds(graph, inner, b, "zf")
     reach = graph.closed_neighborhood(inner)
     out_sub, out_map = graph.induced_subgraph(outside)
-    total = len(b)
-    witness_mask = b.mask
-    anchors = []
-    for comp in out_sub.components():
-        comp_big = out_map.lift(comp)
-        part, pmap = graph.induced_subgraph(comp_big)
-        anchor = pmap.restrict(comp_big & reach)
-        res = restricted_zf_number(part, anchor)
-        total += res.value
-        witness_mask |= pmap.lift(res.witness).mask
-        anchors.append(pmap.lift(anchor))
-    witness = VertexSet.from_mask(graph.n, witness_mask)
+    anchors = [out_map.lift(comp) & reach for comp in out_sub.components()]
+    res = restricted_zf_number(out_sub, out_map.restrict(reach))
+    total = len(b) + res.value
+    witness = b | out_map.lift(res.witness)
     assert is_zero_forcing_set(graph, witness)
     lhs = restricted_zf_number(graph, b).value
     return _report(

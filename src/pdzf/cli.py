@@ -7,9 +7,10 @@ the per-command payload, and a trailing ``runtime_ms`` field, the only
 one allowed to vary between identical runs.  ``gen`` writes edge-list
 text so it can be piped straight back in.  Exit status is 0 on success,
 2 on any input problem, 3 when any guard stops the computation (the
-vertex limits of the oracle, fort enumeration and the 64-vertex solver,
-or the terminal-set cap); the environment variable PDZF_GUARD_N
-overrides the oracle and fort enumeration guards.
+vertex limits of the oracle, fort enumeration and the solver's 64
+vertices per connected component, or the terminal-set cap); the
+environment variable PDZF_GUARD_N overrides the oracle and fort
+enumeration guards.
 """
 
 from __future__ import annotations

@@ -136,6 +136,10 @@ def minimum_violated_fort(graph: Graph, forbidden: VertexSet) -> Fort:
     """
     forbidden = graph._coerce(forbidden)
     cand_mask = (1 << graph.n) - 1 & ~forbidden.mask
+    # Each size restarts from the root on purpose.  One branch and bound
+    # with an incumbent found the same forts on the separations of 60 small
+    # random trees but took about 5x as long: until its first small fort it
+    # descends into large partial forts that a fixed size prunes at once.
     for size in range(1, cand_mask.bit_count() + 1):
         found = _lex_fort_of_size(graph.adj, cand_mask, size)
         if found is not None:

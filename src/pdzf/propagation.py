@@ -215,30 +215,37 @@ def enumerate_terminal_sets(
     full = (1 << graph.n) - 1
     if closure_mask(adj, b.mask) != full:
         raise InfeasibleError("the given set does not force the whole graph")
-    memo: dict[int, frozenset[int]] = {}
-
-    def future_forcers(blue: int) -> frozenset[int]:
-        if blue == full:
-            return frozenset((0,))
-        cached = memo.get(blue)
-        if cached is not None:
-            return cached
-        out: set[int] = set()
-        for u in bits(blue):
-            white = adj[u] & ~blue
-            if white and white & (white - 1) == 0:
-                ubit = 1 << u
-                for rest in future_forcers(blue | white):
-                    out.add(rest | ubit)
+    # memo maps a blue set to the sets of vertices that force after it.
+    # An explicit stack resolves the states children first, in increasing
+    # forcer order: recursing once per force overflows on long paths.  A
+    # state waits on the stack with its moves until its children are done.
+    memo: dict[int, frozenset[int]] = {full: frozenset((0,))}
+    stack: list[tuple[int, list | None]] = [(b.mask, None)]
+    while stack:
+        blue, moves = stack[-1]
+        if blue in memo:
+            stack.pop()
+            continue
+        if moves is None:
+            moves = []
+            for u in bits(blue):
+                white = adj[u] & ~blue
+                if white and white & (white - 1) == 0:
+                    moves.append((1 << u, blue | white))
+            stack[-1] = (blue, moves)
+            pending = [(after, None) for _, after in reversed(moves) if after not in memo]
+            if pending:
+                stack.extend(pending)
+                continue
+        out = {rest | ubit for ubit, after in moves for rest in memo[after]}
         if len(out) > cap:
             raise GuardExceededError(
                 f"more than cap={cap} terminal sets (partial count {len(out)})"
             )
-        result = frozenset(out)
-        memo[blue] = result
-        return result
+        memo[blue] = frozenset(out)
+        stack.pop()
 
     return {
         VertexSet.from_mask(graph.n, full & ~forcers)
-        for forcers in future_forcers(b.mask)
+        for forcers in memo[b.mask]
     }

@@ -7,14 +7,17 @@ cross-checked by the tests:
 * ``brute_force_min``: subset enumeration by increasing size ("oracle");
 * ``restricted_pd_number`` / ``restricted_zf_number``: constraint
   generation over fort cuts, with an exact set-cover master solved by
-  branch and bound at every round;
+  branch and bound at every round, one connected component at a time;
 * ``reduction_pd_number``: leaf attachment, power domination only.
 
 Every power dominating set intersects N[F] for every fort F, and every
 zero forcing set intersects every fort, so fort cuts never exclude an
 optimal solution; when a master optimum becomes feasible it is optimal.
 Each extracted cut is violated by the incumbent, hence new, so the loop
-terminates.
+terminates.  Both parameters add up over connected components, so
+constraint generation solves each component on its own master, and its
+64-vertex guard (``DEFAULT_CG_GUARD``) bounds each component rather than
+the whole graph.
 """
 
 from __future__ import annotations
@@ -218,37 +221,47 @@ def _cg(
     guard: int = DEFAULT_CG_GUARD,
     cut_log: list | None = None,
 ) -> SolveResult:
-    if graph.n > guard:
+    comps = graph.components()
+    largest = max(len(c) for c in comps)
+    if largest > guard:
+        where = "graph" if len(comps) == 1 else "a component"
         raise GuardExceededError(
-            f"constraint generation guard is {guard}, graph has {graph.n} vertices"
+            f"constraint generation guard is {guard}, {where} has {largest} vertices"
         )
     adj = graph.adj
     n = graph.n
     full = (1 << n) - 1
     degs = tuple(a.bit_count() for a in adj)
-    pool: list[int] = []
     cuts = 0
     total_nodes = 0
-    s_mask = x.mask
-    while True:
-        final = _final_mask(adj, s_mask, mode)
-        if final == full:
-            break
-        if min_forts:
-            fmask = minimum_violated_fort(graph, VertexSet.from_mask(n, final)).members.mask
-        else:
-            fmask = full & ~final
-        if cut_log is not None:
-            cut_log.append(
-                (VertexSet.from_mask(n, s_mask), Fort(VertexSet.from_mask(n, fmask)))
-            )
-        _pool_add(pool, dominated_mask(adj, fmask) if mode == "pd" else fmask)
-        cuts += 1
-        s_mask, nodes = _cover_exact(n, degs, pool, x.mask)
-        total_nodes += nodes
+    witness = 0
+    # Each component runs its own master, in the graph's ids: a set inside
+    # one component propagates only inside it, and so does every fort cut.
+    for comp in comps:
+        cmask = comp.mask
+        pool: list[int] = []
+        forced = s_mask = x.mask & cmask
+        while True:
+            final = _final_mask(adj, s_mask, mode)
+            if final == cmask:
+                break
+            if min_forts:
+                forbidden = VertexSet.from_mask(n, full & ~cmask | final)
+                fmask = minimum_violated_fort(graph, forbidden).members.mask
+            else:
+                fmask = cmask & ~final
+            if cut_log is not None:
+                cut_log.append(
+                    (VertexSet.from_mask(n, s_mask), Fort(VertexSet.from_mask(n, fmask)))
+                )
+            _pool_add(pool, dominated_mask(adj, fmask) if mode == "pd" else fmask)
+            cuts += 1
+            s_mask, nodes = _cover_exact(n, degs, pool, forced)
+            total_nodes += nodes
+        witness |= s_mask
     return SolveResult(
-        value=s_mask.bit_count(),
-        witness=VertexSet.from_mask(n, s_mask),
+        value=witness.bit_count(),
+        witness=VertexSet.from_mask(n, witness),
         method="constraint_generation",
         cuts_added=cuts,
         nodes=total_nodes,
@@ -268,8 +281,11 @@ def restricted_pd_number(
     Each failed master solution S leaves the fort V - PD(S); its closed
     neighborhood joins the cut pool (``min_forts=True`` separates a
     minimum violated fort instead, far stronger on leafy graphs).  The
-    master is re-solved exactly after every cut.  When ``cut_log`` is a
-    list it receives one (incumbent, fort) pair per cut.
+    master is re-solved exactly after every cut.  Each connected component
+    is solved on its own, and ``guard`` bounds the size of each component.
+    When ``cut_log`` is a list it receives one (incumbent, fort) pair per
+    cut; both belong to the component that the cut was made in, in the
+    graph's vertex ids.
     """
     x = _prepare(graph, x, "pd")
     return _cg(graph, x, "pd", min_forts, guard, cut_log)
@@ -298,40 +314,12 @@ def pd_number_disconnected(
     *,
     min_forts: bool = False,
 ) -> SolveResult:
-    """Restricted power domination via the component decomposition.
+    """Restricted power domination of a graph that may be disconnected.
 
-    Components with at least 3 vertices are solved independently; a
-    component C with at most 2 vertices contributes max(|X & C|, 1),
-    realized by X & C itself or by its smallest vertex.
+    The same solve as ``restricted_pd_number`` with the default guard;
+    that solve already splits the graph into its components.
     """
-    x = _prepare(graph, x, "pd")
-    value = 0
-    witness_mask = 0
-    cuts = 0
-    nodes = 0
-    for comp in graph.components():
-        if len(comp) >= 3:
-            sub, index = graph.induced_subgraph(comp)
-            res = _cg(sub, index.restrict(x), "pd", min_forts)
-            value += res.value
-            witness_mask |= index.lift(res.witness).mask
-            cuts += res.cuts_added
-            nodes += res.nodes
-        else:
-            local = x & comp
-            if local:
-                value += len(local)
-                witness_mask |= local.mask
-            else:
-                value += 1
-                witness_mask |= 1 << min(comp)
-    return SolveResult(
-        value=value,
-        witness=VertexSet.from_mask(graph.n, witness_mask),
-        method="constraint_generation",
-        cuts_added=cuts,
-        nodes=nodes,
-    )
+    return restricted_pd_number(graph, x, min_forts=min_forts)
 
 
 def reduction_pd_number(graph: Graph, x: VertexSet | None = None) -> SolveResult:

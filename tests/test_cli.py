@@ -9,7 +9,7 @@ import sys
 
 import pytest
 
-from pdzf import enumerate_forts, from_edge_list, generate, is_fort, solver, to_edge_list
+from pdzf import Graph, enumerate_forts, from_edge_list, generate, is_fort, solver, to_edge_list
 from pdzf.cli import main
 
 P3 = "3 2\n0 1\n1 2\n"
@@ -84,6 +84,14 @@ class TestSolve:
         assert code == 0 and doc_of(out)["value"] == 1
         code, _, err = cli(["solve", "--graph", str(tmp_path / "missing.txt")])
         assert code == 2 and err.startswith("error:")
+
+    def test_guard_counts_each_component(self, cli):
+        # 120 vertices in three 40-vertex paths: each component is within
+        # the 64-vertex guard, so the solve runs.
+        forest = to_edge_list(Graph(120, [(i, i + 1) for i in range(119) if i % 40 != 39]))
+        for argv in (["solve"], ["solve", "--mode", "zf"]):
+            code, out, _ = cli(argv, forest)
+            assert code == 0 and doc_of(out)["value"] == 3
 
     def test_malformed_input(self, cli):
         code, _, err = cli(["solve"], "3 1\n0 99\n")
@@ -255,6 +263,12 @@ class TestTerminals:
         doc = doc_of(out)
         assert doc["count"] == 3
         assert doc["terminal_sets"] == [[0, 3], [1, 2], [2, 3]]
+
+    def test_long_path(self, cli):
+        # One force per vertex: the enumeration must not recurse per force.
+        path = to_edge_list(generate("path", (1500,)))
+        code, out, _ = cli(["terminals", "--x", "0"], path)
+        assert code == 0 and doc_of(out)["count"] == 1
 
     def test_cap_guard(self, cli):
         gen_code, hub, _ = cli(["gen", "c5_hub", "2"])

@@ -405,11 +405,20 @@ class TestConstraintGeneration:
         assert res.nodes >= 1
 
     def test_cut_log_records_violated_forts(self):
+        # On a disconnected graph each cut belongs to one component and is
+        # logged in the graph's own ids.
         rng = random.Random(31)
+        cases = []
         for _ in range(40):
             n = rng.randint(2, 9)
             g = random_connected_graph(n, rng)
-            x = g.vertex_set(random_subset(n, rng, rng.randint(0, 1)))
+            cases.append((g, g.vertex_set(random_subset(n, rng, rng.randint(0, 1)))))
+        for _ in range(40):
+            n = rng.randint(2, 12)
+            g = random_graph(n, rng, p=0.2)
+            cases.append((g, g.vertex_set(random_subset(n, rng, rng.randint(0, 2)))))
+        assert sum(not g.is_connected() for g, _ in cases) >= 30
+        for g, x in cases:
             for solve, mode in (
                 (restricted_pd_number, "pd"),
                 (restricted_zf_number, "zf"),
@@ -430,6 +439,16 @@ class TestConstraintGeneration:
         with pytest.raises(GuardExceededError):
             restricted_pd_number(generate("path", (65,)))
         assert restricted_pd_number(generate("path", (65,)), guard=65).value == 1
+
+    def test_guard_bounds_each_component(self):
+        three_paths = [(i, i + 1) for i in range(119) if i % 40 != 39]
+        forest = Graph(120, three_paths)
+        assert restricted_pd_number(forest).value == 3
+        assert restricted_zf_number(forest).value == 3
+        beside = Graph(185, three_paths + [(i, i + 1) for i in range(120, 184)])
+        for solve in (restricted_pd_number, restricted_zf_number):
+            with pytest.raises(GuardExceededError):
+                solve(beside)
 
     def test_route_agreement_random(self):
         rng = random.Random(37)
@@ -484,10 +503,21 @@ class TestDisconnected:
             n = rng.randint(1, 9)
             g = random_graph(n, rng, p=0.25)
             x = g.vertex_set(random_subset(n, rng, rng.randint(0, min(2, n))))
+            expected = brute_force_min(g, x, "pd").value
             res = pd_number_disconnected(g, x)
-            assert res.value == brute_force_min(g, x, "pd").value
+            assert res.value == expected
             assert x.issubset(res.witness)
             assert is_power_dominating_set(g, res.witness)
+            zf_expected = brute_force_min(g, x, "zf").value
+            for strong in (False, True):
+                res = restricted_pd_number(g, x, min_forts=strong)
+                assert res.value == len(res.witness) == expected
+                assert x.issubset(res.witness)
+                assert is_power_dominating_set(g, res.witness)
+                res = restricted_zf_number(g, x, min_forts=strong)
+                assert res.value == len(res.witness) == zf_expected
+                assert x.issubset(res.witness)
+                assert is_zero_forcing_set(g, res.witness)
 
 
 class TestSpread:

@@ -6,199 +6,29 @@ requires a given vertex set X inside the solution.  The package provides
 the propagation processes, several independent exact solvers, fort
 machinery, graph families, decomposition and composition rules, and a
 catalogue of verified bounds, all over an immutable bitmask graph type.
+
+Each module's ``__all__`` declares its public names; this package
+re-exports every one of them.
 """
 
-from .bounds import (
-    AUDIT_BOUNDS,
-    BoundReport,
-    audit,
-    component_sum_pd,
-    component_sum_zf,
-    degree_sum,
-    delta_ratio,
-    domination_half,
-    extension_half,
-    neighborhood_blowup,
-    partition_pd,
-    partition_zf,
-    pd_third,
-    restricted_pd_third,
-    third_boundary,
-)
-from .constructions import (
-    LeafAttachment,
-    apex_over,
-    attach_leaves,
-    family_labels,
-    family_names,
-    generate,
-    leaf_bound_witness,
-)
-from .decomposition import (
-    ApexTerminalReport,
-    CompositionBound,
-    LeafClassification,
-    LeafSupports,
-    PendantComposition,
-    TreePart,
-    TreeSplit,
-    centroid,
-    check_apex_terminal,
-    compose_boundary_pd,
-    compose_pendant_zf,
-    leaf_classify,
-    mandatory_vertices,
-    tree_pd_parallel,
-    tree_split,
-)
-from .errors import (
-    BoundHypothesisError,
-    DuplicateEdgeError,
-    EdgeCountMismatchError,
-    EdgeListError,
-    GraphError,
-    GuardExceededError,
-    InconsistentTraceError,
-    InfeasibleError,
-    MalformedEdgeError,
-    MalformedHeaderError,
-    NotATreeError,
-    PdzfError,
-    SelfLoopError,
-    VertexOutOfRangeError,
-)
-from .forts import (
-    DEFAULT_FORT_GUARD,
-    Fort,
-    enumerate_forts,
-    fort_from_failed_set,
-    is_fort,
-    minimum_violated_fort,
-)
-from .graph import Graph, IndexMap, VertexSet, from_edge_list, to_edge_list
-from .propagation import (
-    DEFAULT_TERMINAL_CAP,
-    ForcingChainDecomposition,
-    PropagationTrace,
-    enumerate_terminal_sets,
-    forcing_chains,
-    is_power_dominating_set,
-    is_zero_forcing_set,
-    pd_observe,
-    zf_closure,
-)
-from .solver import (
-    DEFAULT_CG_GUARD,
-    DEFAULT_EXHAUSTIVE_GUARD,
-    DEFAULT_ORACLE_GUARD,
-    SolveResult,
-    brute_force_min,
-    k_restricted_number,
-    minimum_solutions,
-    pd_number_disconnected,
-    reduction_pd_number,
-    restricted_pd_number,
-    restricted_zf_number,
-    spread,
-    spread_and_single,
-    z_restricted_single,
-)
+from . import bounds, constructions, decomposition, errors, forts, graph, propagation, solver
+from .bounds import *
+from .constructions import *
+from .decomposition import *
+from .errors import *
+from .forts import *
+from .graph import *
+from .propagation import *
+from .solver import *
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "__version__",
-    # graph
-    "Graph",
-    "VertexSet",
-    "IndexMap",
-    "from_edge_list",
-    "to_edge_list",
-    # propagation
-    "PropagationTrace",
-    "ForcingChainDecomposition",
-    "zf_closure",
-    "pd_observe",
-    "is_zero_forcing_set",
-    "is_power_dominating_set",
-    "forcing_chains",
-    "enumerate_terminal_sets",
-    "DEFAULT_TERMINAL_CAP",
-    # constructions
-    "LeafAttachment",
-    "attach_leaves",
-    "leaf_bound_witness",
-    "apex_over",
-    "generate",
-    "family_names",
-    "family_labels",
-    # forts
-    "Fort",
-    "is_fort",
-    "fort_from_failed_set",
-    "minimum_violated_fort",
-    "enumerate_forts",
-    "DEFAULT_FORT_GUARD",
-    # solvers
-    "SolveResult",
-    "brute_force_min",
-    "minimum_solutions",
-    "restricted_pd_number",
-    "restricted_zf_number",
-    "pd_number_disconnected",
-    "reduction_pd_number",
-    "spread",
-    "spread_and_single",
-    "z_restricted_single",
-    "k_restricted_number",
-    "DEFAULT_ORACLE_GUARD",
-    "DEFAULT_EXHAUSTIVE_GUARD",
-    "DEFAULT_CG_GUARD",
-    # decomposition and composition
-    "TreePart",
-    "TreeSplit",
-    "LeafClassification",
-    "LeafSupports",
-    "CompositionBound",
-    "PendantComposition",
-    "ApexTerminalReport",
-    "centroid",
-    "tree_split",
-    "tree_pd_parallel",
-    "leaf_classify",
-    "mandatory_vertices",
-    "compose_boundary_pd",
-    "compose_pendant_zf",
-    "check_apex_terminal",
-    # bounds
-    "BoundReport",
-    "domination_half",
-    "pd_third",
-    "restricted_pd_third",
-    "extension_half",
-    "component_sum_pd",
-    "third_boundary",
-    "partition_pd",
-    "component_sum_zf",
-    "partition_zf",
-    "degree_sum",
-    "delta_ratio",
-    "neighborhood_blowup",
-    "audit",
-    "AUDIT_BOUNDS",
-    # errors
-    "PdzfError",
-    "GraphError",
-    "EdgeListError",
-    "MalformedHeaderError",
-    "MalformedEdgeError",
-    "VertexOutOfRangeError",
-    "SelfLoopError",
-    "DuplicateEdgeError",
-    "EdgeCountMismatchError",
-    "GuardExceededError",
-    "InfeasibleError",
-    "InconsistentTraceError",
-    "NotATreeError",
-    "BoundHypothesisError",
-]
+__all__ = ["__version__"]
+__all__ += graph.__all__
+__all__ += propagation.__all__
+__all__ += constructions.__all__
+__all__ += forts.__all__
+__all__ += solver.__all__
+__all__ += decomposition.__all__
+__all__ += bounds.__all__
+__all__ += errors.__all__

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .decomposition import compose_boundary_pd
-from .errors import BoundHypothesisError, GuardExceededError
+from .errors import BoundHypothesisError, check_guard
 from .graph import Graph, VertexSet
 from .propagation import is_power_dominating_set, is_zero_forcing_set
 from .solver import DEFAULT_CG_GUARD, _cover_exact, restricted_pd_number, restricted_zf_number
@@ -64,10 +64,7 @@ def domination_half(graph: Graph) -> BoundReport:
     """
     if graph.n == 0 or any(graph.degree(v) == 0 for v in graph.vertices()):
         raise BoundHypothesisError("the graph must have no isolated vertices")
-    if graph.n > DEFAULT_CG_GUARD:
-        raise GuardExceededError(
-            f"set cover guard is {DEFAULT_CG_GUARD}, graph has {graph.n} vertices"
-        )
+    check_guard("set cover", DEFAULT_CG_GUARD, graph.n)
     rows = [a | 1 << v for v, a in enumerate(graph.adj)]
     cover, _ = _cover_exact(graph.n, tuple(a.bit_count() for a in graph.adj), rows, 0)
     return _report("domination_half", cover.bit_count(), Fraction(graph.n, 2))

@@ -107,12 +107,13 @@ def _result_payload(res) -> dict:
 
 def _cmd_solve(args: argparse.Namespace) -> tuple[Graph, dict]:
     graph = _load_graph(args)
-    if args.method not in _METHODS[args.mode]:
-        raise ValueError(f"method {args.method!r} does not apply to mode {args.mode!r}")
+    method = args.method or _METHODS[args.mode][0]
+    if method not in _METHODS[args.mode]:
+        raise ValueError(f"method {method!r} does not apply to mode {args.mode!r}")
     x = _parse_set(args.x, graph)
-    if args.method == "oracle":
+    if method == "oracle":
         res = brute_force_min(graph, x, args.mode, guard=_enum_guard(DEFAULT_ORACLE_GUARD))
-    elif args.method == "reduction":
+    elif method == "reduction":
         res = reduction_pd_number(graph, x)
     elif args.mode == "pd":
         res = restricted_pd_number(graph, x, min_forts=args.min_forts)
@@ -350,7 +351,9 @@ def _parser() -> argparse.ArgumentParser:
     _add_graph_arg(p)
     p.add_argument("--mode", choices=("pd", "zf", "dom"), default="pd")
     p.add_argument("--x", help="comma-separated required vertices")
-    p.add_argument("--method", choices=("cg", "oracle", "reduction"), default="cg")
+    p.add_argument(
+        "--method", choices=("cg", "oracle", "reduction"), help="default: oracle for dom, else cg"
+    )
     p.add_argument("--min-forts", action="store_true", help="separate minimum forts")
     p.set_defaults(handler=_cmd_solve)
 

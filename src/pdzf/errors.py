@@ -2,6 +2,23 @@
 
 from __future__ import annotations
 
+__all__ = [
+    "PdzfError",
+    "GraphError",
+    "EdgeListError",
+    "MalformedHeaderError",
+    "MalformedEdgeError",
+    "VertexOutOfRangeError",
+    "SelfLoopError",
+    "DuplicateEdgeError",
+    "EdgeCountMismatchError",
+    "GuardExceededError",
+    "InfeasibleError",
+    "InconsistentTraceError",
+    "NotATreeError",
+    "BoundHypothesisError",
+]
+
 
 class PdzfError(Exception):
     """Base class for every error this package raises on purpose."""
@@ -45,6 +62,12 @@ class EdgeCountMismatchError(EdgeListError):
 
 class GuardExceededError(PdzfError):
     """An instance exceeds the guard of an exponential computation."""
+
+
+def check_guard(route: str, limit: int, size: int, where: str = "graph") -> None:
+    """Raise GuardExceededError when ``size`` vertices exceed ``route``'s guard."""
+    if size > limit:
+        raise GuardExceededError(f"{route} guard is {limit}, {where} has {size} vertices")
 
 
 class InfeasibleError(PdzfError):

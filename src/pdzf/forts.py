@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import GuardExceededError, InfeasibleError
+from .errors import InfeasibleError, check_guard
 from .graph import Graph, VertexSet, bits
 from .propagation import final_mask
 
@@ -149,8 +149,7 @@ def minimum_violated_fort(graph: Graph, forbidden: VertexSet) -> Fort:
 
 def enumerate_forts(graph: Graph, guard: int = DEFAULT_FORT_GUARD) -> list[Fort]:
     """All forts, by exhaustive subset check; ordered by size then members."""
-    if graph.n > guard:
-        raise GuardExceededError(f"fort enumeration guard is {guard}, graph has {graph.n} vertices")
+    check_guard("fort enumeration", guard, graph.n)
     adj, n = graph.adj, graph.n
     found = [m for m in range(1, 1 << n) if _is_fort_mask(adj, n, m)]
     found.sort(key=lambda m: (m.bit_count(), tuple(bits(m))))

@@ -64,9 +64,6 @@ class VertexSet:
     def full(cls, n: int) -> "VertexSet":
         return cls.from_mask(n, (1 << n) - 1)
 
-    def __reduce__(self):
-        return (VertexSet.from_mask, (self.n, self.mask))
-
     def _check(self, other: "VertexSet") -> None:
         if not isinstance(other, VertexSet):
             raise TypeError(f"expected VertexSet, got {type(other).__name__}")
@@ -189,9 +186,6 @@ class Graph:
         obj.n = n
         obj.adj = adj
         return obj
-
-    def __reduce__(self):
-        return (Graph._from_masks, (self.n, self.adj))
 
     @property
     def m(self) -> int:

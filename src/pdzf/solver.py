@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from .constructions import attach_leaves
-from .errors import GraphError, GuardExceededError
+from .errors import GraphError, check_guard
 from .graph import Graph, VertexSet, bits
 from .forts import Fort, minimum_violated_fort
 from .propagation import closure_mask, dominated_mask, pd_final_mask
@@ -94,8 +94,7 @@ def brute_force_min(
     "pd", "zf", "dom".
     """
     x = _prepare(graph, x, mode)
-    if graph.n > guard:
-        raise GuardExceededError(f"oracle guard is {guard}, graph has {graph.n} vertices")
+    check_guard("oracle", guard, graph.n)
     adj = graph.adj
     full = (1 << graph.n) - 1
     free = [v for v in range(graph.n) if v not in x]
@@ -123,10 +122,7 @@ def minimum_solutions(
 ) -> list[VertexSet]:
     """Every minimum feasible superset of X, in lexicographic order."""
     x = _prepare(graph, x, mode)
-    if graph.n > DEFAULT_EXHAUSTIVE_GUARD:
-        raise GuardExceededError(
-            f"exhaustive guard is {DEFAULT_EXHAUSTIVE_GUARD}, graph has {graph.n} vertices"
-        )
+    check_guard("exhaustive", DEFAULT_EXHAUSTIVE_GUARD, graph.n)
     best = brute_force_min(graph, x, mode).value
     adj = graph.adj
     full = (1 << graph.n) - 1
@@ -222,12 +218,8 @@ def _cg(
     cut_log: list | None = None,
 ) -> SolveResult:
     comps = graph.components()
-    largest = max(len(c) for c in comps)
-    if largest > guard:
-        where = "graph" if len(comps) == 1 else "a component"
-        raise GuardExceededError(
-            f"constraint generation guard is {guard}, {where} has {largest} vertices"
-        )
+    where = "graph" if len(comps) == 1 else "a component"
+    check_guard("constraint generation", guard, max(len(c) for c in comps), where)
     adj = graph.adj
     n = graph.n
     full = (1 << n) - 1
@@ -404,10 +396,7 @@ def k_restricted_number(graph: Graph, k: int, mode: str = "pd") -> tuple[int, Ve
     _prepare(graph, None, mode)
     if not 0 <= k <= graph.n:
         raise GraphError(f"k must lie in [0, {graph.n}], got {k}")
-    if graph.n > DEFAULT_ORACLE_GUARD:
-        raise GuardExceededError(
-            f"enumeration guard is {DEFAULT_ORACLE_GUARD}, graph has {graph.n} vertices"
-        )
+    check_guard("enumeration", DEFAULT_ORACLE_GUARD, graph.n)
     best = -1
     best_x = VertexSet(graph.n)
     for combo in combinations(range(graph.n), k):

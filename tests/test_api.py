@@ -1,6 +1,10 @@
-"""Public surface: which callables take a ``guard`` keyword."""
+"""Public surface: exported names, guard keywords and messages, value types."""
 
+import copy
 import inspect
+import pickle
+
+import pytest
 
 import pdzf
 
@@ -28,3 +32,117 @@ def _parameters(obj) -> set[str]:
 def test_guard_keyword_only_where_a_caller_sets_it():
     guarded = {name for name in pdzf.__all__ if "guard" in _parameters(getattr(pdzf, name))}
     assert guarded == GUARDED
+
+
+PUBLIC = [
+    "AUDIT_BOUNDS", "ApexTerminalReport", "BoundHypothesisError", "BoundReport",
+    "CompositionBound", "DEFAULT_CG_GUARD", "DEFAULT_EXHAUSTIVE_GUARD", "DEFAULT_FORT_GUARD",
+    "DEFAULT_ORACLE_GUARD", "DEFAULT_TERMINAL_CAP", "DuplicateEdgeError",
+    "EdgeCountMismatchError", "EdgeListError", "ForcingChainDecomposition", "Fort", "Graph",
+    "GraphError", "GuardExceededError", "InconsistentTraceError", "IndexMap",
+    "InfeasibleError", "LeafAttachment", "LeafClassification", "LeafSupports",
+    "MalformedEdgeError", "MalformedHeaderError", "NotATreeError", "PdzfError",
+    "PendantComposition", "PropagationTrace", "SelfLoopError", "SolveResult", "TreePart",
+    "TreeSplit", "VertexOutOfRangeError", "VertexSet", "__version__", "apex_over",
+    "attach_leaves", "audit", "brute_force_min", "centroid", "check_apex_terminal",
+    "component_sum_pd", "component_sum_zf", "compose_boundary_pd", "compose_pendant_zf",
+    "degree_sum", "delta_ratio", "domination_half", "enumerate_forts",
+    "enumerate_terminal_sets", "extension_half", "family_labels", "family_names",
+    "forcing_chains", "fort_from_failed_set", "from_edge_list", "generate", "is_fort",
+    "is_power_dominating_set", "is_zero_forcing_set", "k_restricted_number",
+    "leaf_bound_witness", "leaf_classify", "mandatory_vertices", "minimum_solutions",
+    "minimum_violated_fort", "neighborhood_blowup", "partition_pd", "partition_zf",
+    "pd_number_disconnected", "pd_observe", "pd_third", "reduction_pd_number",
+    "restricted_pd_number", "restricted_pd_third", "restricted_zf_number", "spread",
+    "spread_and_single", "third_boundary", "to_edge_list", "tree_pd_parallel", "tree_split",
+    "z_restricted_single", "zf_closure",
+]  # fmt: skip
+
+MODULES = [
+    pdzf.bounds,
+    pdzf.constructions,
+    pdzf.decomposition,
+    pdzf.errors,
+    pdzf.forts,
+    pdzf.graph,
+    pdzf.propagation,
+    pdzf.solver,
+]
+
+
+class TestSurface:
+    def test_names_are_pinned_and_unique(self):
+        assert len(PUBLIC) == 86
+        assert sorted(pdzf.__all__) == PUBLIC
+        assert len(set(pdzf.__all__)) == len(pdzf.__all__)
+
+    def test_every_module_name_is_reexported(self):
+        for module in MODULES:
+            for name in module.__all__:
+                assert getattr(pdzf, name) is getattr(module, name)
+
+    def test_star_import_binds_exactly_all(self):
+        namespace = {}
+        exec("from pdzf import *", namespace)
+        del namespace["__builtins__"]
+        assert sorted(namespace) == PUBLIC
+
+
+# Each exponential route raises GuardExceededError with this exact text.
+GUARD_MESSAGES = [
+    (
+        lambda: pdzf.brute_force_min(pdzf.generate("path", (3,)), guard=2),
+        "oracle guard is 2, graph has 3 vertices",
+    ),
+    (
+        lambda: pdzf.minimum_solutions(pdzf.generate("path", (17,))),
+        "exhaustive guard is 16, graph has 17 vertices",
+    ),
+    (
+        lambda: pdzf.restricted_pd_number(pdzf.generate("path", (3,)), guard=2),
+        "constraint generation guard is 2, graph has 3 vertices",
+    ),
+    (
+        lambda: pdzf.restricted_zf_number(pdzf.Graph(5, [(0, 1), (1, 2)]), guard=2),
+        "constraint generation guard is 2, a component has 3 vertices",
+    ),
+    (
+        lambda: pdzf.k_restricted_number(pdzf.generate("path", (21,)), 0),
+        "enumeration guard is 20, graph has 21 vertices",
+    ),
+    (
+        lambda: pdzf.enumerate_forts(pdzf.generate("path", (3,)), guard=2),
+        "fort enumeration guard is 2, graph has 3 vertices",
+    ),
+    (
+        lambda: pdzf.domination_half(pdzf.generate("path", (65,))),
+        "set cover guard is 64, graph has 65 vertices",
+    ),
+]
+
+
+@pytest.mark.parametrize(("call", "message"), GUARD_MESSAGES, ids=[m for _, m in GUARD_MESSAGES])
+def test_guard_message(call, message):
+    with pytest.raises(pdzf.GuardExceededError) as info:
+        call()
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize(
+    "obj",
+    [
+        pdzf.Graph(4, [(0, 2), (1, 3)]),
+        pdzf.VertexSet(9, [0, 3, 8]),
+        pdzf.IndexMap(5, (0, 2, 4)),
+        pdzf.SolveResult(value=1, witness=pdzf.VertexSet(3, [1]), method="oracle", nodes=2),
+    ],
+    ids=lambda obj: type(obj).__name__,
+)
+def test_value_types_copy_and_pickle(obj):
+    def state(o):
+        # IndexMap defines no equality; compare its slots instead.
+        return (o.n_old, o.to_old, o._to_new) if isinstance(o, pdzf.IndexMap) else o
+
+    protocols = range(2, pickle.HIGHEST_PROTOCOL + 1)
+    for twin in [*(pickle.loads(pickle.dumps(obj, p)) for p in protocols), copy.deepcopy(obj)]:
+        assert type(twin) is type(obj) and state(twin) == state(obj)

@@ -70,6 +70,13 @@ class TestSolve:
         code, out, _ = cli(["solve", "--mode", "dom", "--method", "oracle"], P5)
         assert doc_of(out)["value"] == 2
 
+    def test_method_defaults_to_the_modes_first(self, cli):
+        gen_code, path5, _ = cli(["gen", "path", "5"])
+        code, out, _ = cli(["solve", "--mode", "dom"], path5)
+        assert gen_code == 0 and code == 0
+        doc = doc_of(out)
+        assert (doc["value"], doc["witness"], doc["method"]) == (2, [0, 3], "oracle")
+
     def test_method_mode_mismatch(self, cli):
         code, _, err = cli(["solve", "--mode", "zf", "--method", "reduction"], P5)
         assert code == 2

@@ -14,9 +14,9 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .decomposition import compose_boundary_pd
-from .errors import BoundHypothesisError, check_guard
+from .errors import BoundHypothesisError, CertificationError, check_guard
 from .graph import Graph, VertexSet
-from .propagation import is_power_dominating_set, is_zero_forcing_set
+from .propagation import certify, final_mask, is_power_dominating_set
 from .solver import DEFAULT_CG_GUARD, _cover_exact, restricted_pd_number, restricted_zf_number
 
 __all__ = [
@@ -103,12 +103,7 @@ def _check_inner_pds(graph: Graph, inner, s, mode: str):
     if not s.issubset(inner):
         raise BoundHypothesisError("the solved set must lie inside the inner vertex set")
     sub, imap = graph.induced_subgraph(inner)
-    feasible = (
-        is_power_dominating_set(sub, imap.restrict(s))
-        if mode == "pd"
-        else is_zero_forcing_set(sub, imap.restrict(s))
-    )
-    if not feasible:
+    if final_mask(sub.adj, imap.restrict(s).mask, mode) != (1 << sub.n) - 1:
         raise BoundHypothesisError("the given set does not solve the inner subgraph")
     return inner, outside, s
 
@@ -169,8 +164,7 @@ def component_sum_pd(
     anchor = VertexSet(graph.n, (v for a in anchors for v in a))
     res = restricted_pd_number(out_sub, out_map.restrict(anchor))
     total = len(s) + res.value
-    witness = s | out_map.lift(res.witness)
-    assert is_power_dominating_set(graph, witness)
+    witness = certify(graph, s | out_map.lift(res.witness), s, "pd", total)
     lhs = restricted_pd_number(graph, s).value
     return _report(
         "component_sum_pd",
@@ -212,7 +206,8 @@ def partition_pd(graph: Graph, v1, w1, w2) -> BoundReport:
     w = graph._coerce(w1) | graph._coerce(w2)
     lhs = restricted_pd_number(graph, w).value
     free = restricted_pd_number(graph, None).value
-    assert free <= lhs
+    if free > lhs:
+        raise CertificationError(f"unrestricted value {free} exceeds restricted value {lhs}")
     return _report(
         "partition_pd", lhs, bound.value, witness=bound.witness, unrestricted=free
     )
@@ -232,8 +227,7 @@ def component_sum_zf(graph: Graph, inner, b) -> BoundReport:
     anchors = [out_map.lift(comp) & reach for comp in out_sub.components()]
     res = restricted_zf_number(out_sub, out_map.restrict(reach))
     total = len(b) + res.value
-    witness = b | out_map.lift(res.witness)
-    assert is_zero_forcing_set(graph, witness)
+    witness = certify(graph, b | out_map.lift(res.witness), b, "zf", total)
     lhs = restricted_zf_number(graph, b).value
     return _report(
         "component_sum_zf", lhs, total, witness=witness, anchors=tuple(anchors)
@@ -266,7 +260,7 @@ def partition_zf(graph: Graph, v1) -> BoundReport:
     side = 0 if sums[0] <= sums[1] else 1
     pair = first if side == 0 else second
     witness = i1.lift(pair[0].witness) | i2.lift(pair[1].witness)
-    assert is_zero_forcing_set(graph, witness)
+    certify(graph, witness, (), "zf", min(sums))
     lhs = restricted_zf_number(graph, None).value
     return _report(
         "partition_zf", lhs, min(sums), witness=witness, sums=sums, free_side=side + 1
@@ -303,11 +297,11 @@ def degree_sum(
             blown |= (graph.adj[u] | 1 << u) & ~(1 << min(spare))
         else:
             blown |= 1 << u
-    witness = VertexSet.from_mask(graph.n, blown)
-    assert is_zero_forcing_set(graph, witness)
+    witness = certify(graph, VertexSet.from_mask(graph.n, blown), s, "zf")
     rhs = sum(graph.degree(u) for u in s)
     lhs = restricted_zf_number(graph, x).value
-    assert lhs <= len(witness) <= rhs
+    if not lhs <= len(witness) <= rhs:
+        raise CertificationError(f"forcing set of {len(witness)} lies outside [{lhs}, {rhs}]")
     return _report("degree_sum", lhs, rhs, witness=witness, pds=s)
 
 

@@ -10,7 +10,8 @@ text so it can be piped straight back in.  Exit status is 0 on success,
 vertex limits of the oracle, fort enumeration and the solver's 64
 vertices per connected component, or the terminal-set cap); the
 environment variable PDZF_GUARD_N overrides the oracle and fort
-enumeration guards.
+enumeration guards.  A CertificationError (an answer that fails its own
+replay, a bug) also exits 2 with its one-line ``error:`` message.
 """
 
 from __future__ import annotations
@@ -87,9 +88,6 @@ def _jsonable(value):
         return sorted(value)
     if isinstance(value, Fraction):
         return int(value) if value.denominator == 1 else f"{value.numerator}/{value.denominator}"
-    if isinstance(value, (tuple, list, set, frozenset)):
-        items = [_jsonable(v) for v in value]
-        return sorted(items) if isinstance(value, (set, frozenset)) else items
     if isinstance(value, dict):
         return {k: _jsonable(v) for k, v in value.items()}
     return value

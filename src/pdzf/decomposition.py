@@ -18,14 +18,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .constructions import apex_over
-from .errors import BoundHypothesisError, GraphError, NotATreeError
+from .errors import BoundHypothesisError, CertificationError, GraphError, NotATreeError
 from .graph import Graph, IndexMap, VertexSet, bits
-from .propagation import (
-    DEFAULT_TERMINAL_CAP,
-    enumerate_terminal_sets,
-    is_power_dominating_set,
-    is_zero_forcing_set,
-)
+from .propagation import DEFAULT_TERMINAL_CAP, certify, enumerate_terminal_sets
+from .propagation import is_zero_forcing_set
 from .solver import (
     DEFAULT_CG_GUARD,
     SolveResult,
@@ -142,15 +138,14 @@ class TreeSplit:
                 role = part.role
                 if role == "costly":
                     chosen = part.free.witness
-                    assert part.anchor not in chosen
+                    if part.anchor in chosen:
+                        raise CertificationError("a costly branch's free witness uses its anchor")
                 elif role == "idle":
                     chosen = _lift_deleted(part.deleted.witness, part.anchor)
                 else:
                     chosen = part.anchored.witness - part.graph.vertex_set((part.anchor,))
                 mask |= part.index.lift(chosen).mask
-        witness = VertexSet.from_mask(self.tree.n, mask)
-        assert len(witness) == self.value
-        assert is_power_dominating_set(self.tree, witness)
+        witness = certify(self.tree, VertexSet.from_mask(self.tree.n, mask), (), "pd", self.value)
         return SolveResult(self.value, witness, "reduction", cuts, nodes)
 
 
@@ -282,12 +277,12 @@ def leaf_classify(graph: Graph, u: int) -> LeafClassification:
         raise GraphError(f"vertex {u} has degree {graph.degree(u)}, not a leaf")
     anchored = restricted_pd_number(graph, graph.vertex_set((u,)))
     deleted = restricted_pd_number(graph.delete_vertex(u))
-    assert anchored.value - deleted.value in (0, 1)
+    if anchored.value - deleted.value not in (0, 1):
+        raise CertificationError(f"leaf {u} changes the minimum by more than one")
     idle = anchored.value == deleted.value + 1
     if idle:
         witness = _lift_deleted(deleted.witness, u) | graph.vertex_set((u,))
-        assert len(witness) == anchored.value
-        assert is_power_dominating_set(graph, witness)
+        certify(graph, witness, (u,), "pd", anchored.value)
     else:
         witness = anchored.witness
     return LeafClassification(
@@ -364,8 +359,7 @@ def compose_boundary_pd(
     r1 = restricted_pd_number(g1, i1.restrict(w1))
     r2 = restricted_pd_number(g2, i2.restrict(w2))
     witness = i1.lift(r1.witness) | i2.lift(r2.witness)
-    assert (w1 | w2).issubset(witness)
-    assert is_power_dominating_set(graph, witness)
+    certify(graph, witness, w1 | w2, "pd", r1.value + r2.value)
     return CompositionBound(value=r1.value + r2.value, witness=witness, parts=(r1, r2))
 
 
@@ -455,9 +449,7 @@ def compose_pendant_zf(
             if v != root:
                 mask |= 1 << place[v]
     value = len(x) - len(attachments) + sum(res.value for res in parts)
-    witness = VertexSet.from_mask(glued.n, mask)
-    assert len(witness) == value
-    assert is_zero_forcing_set(glued, witness)
+    witness = certify(glued, VertexSet.from_mask(glued.n, mask), (), "zf", value)
     result = SolveResult(value, witness, "reduction", cuts, nodes)
     return PendantComposition(
         graph=glued, result=result, parts=tuple(parts), placements=tuple(placements)
@@ -508,8 +500,10 @@ def check_apex_terminal(
     lifted = VertexSet(apexed.n, x)
     forces_apex = is_zero_forcing_set(apexed, lifted)
     result = restricted_zf_number(apexed, lifted)
-    assert not covered or (forces_apex and result.value == len(x))
-    assert not forces_apex or touched
+    if covered and not (forces_apex and result.value == len(x)):
+        raise CertificationError("T lies in one terminal set, yet X fails on the apexed graph")
+    if forces_apex and not touched:
+        raise CertificationError("X forces the apexed graph, yet T meets no terminal set")
     return ApexTerminalReport(
         apex=graph.n,
         covered=covered,

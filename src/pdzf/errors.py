@@ -17,6 +17,7 @@ __all__ = [
     "InconsistentTraceError",
     "NotATreeError",
     "BoundHypothesisError",
+    "CertificationError",
 ]
 
 
@@ -84,3 +85,7 @@ class NotATreeError(PdzfError, ValueError):
 
 class BoundHypothesisError(PdzfError, ValueError):
     """The hypotheses of a bound are not satisfied by the given objects."""
+
+
+class CertificationError(PdzfError):
+    """A computed answer failed its check: a bug, never bad input."""

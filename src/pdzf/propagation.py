@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import GuardExceededError, InconsistentTraceError, InfeasibleError
+from .errors import CertificationError, GuardExceededError, InconsistentTraceError, InfeasibleError
 from .graph import Graph, VertexSet, bits
 
 __all__ = [
@@ -29,6 +29,7 @@ __all__ = [
     "forcing_chains",
     "enumerate_terminal_sets",
     "DEFAULT_TERMINAL_CAP",
+    "certify",
 ]
 
 DEFAULT_TERMINAL_CAP = 10**6
@@ -70,6 +71,18 @@ def final_mask(adj: tuple[int, ...], mask: int, mode: str) -> int:
     if mode == "zf":
         return closure_mask(adj, mask)
     return dominated_mask(adj, mask)
+
+
+def certify(graph: Graph, witness: VertexSet, x, mode: str, value: int | None = None) -> VertexSet:
+    """Return *witness* if it contains X, has *value* members (when given) and
+    reaches every vertex in *mode*; else raise CertificationError, a bug."""
+    if not graph._coerce(x).issubset(witness):
+        raise CertificationError(f"witness {sorted(witness)} does not contain X")
+    if value is not None and len(witness) != value:
+        raise CertificationError(f"witness has size {len(witness)}, the value is {value}")
+    if final_mask(graph.adj, witness.mask, mode) != (1 << graph.n) - 1:
+        raise CertificationError(f"witness {sorted(witness)} fails to propagate in mode {mode!r}")
+    return witness
 
 
 @dataclass(frozen=True)

@@ -26,10 +26,10 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from .constructions import attach_leaves
-from .errors import GraphError, check_guard
+from .errors import CertificationError, GraphError, check_guard
 from .graph import Graph, VertexSet, bits
 from .forts import Fort, minimum_violated_fort
-from .propagation import closure_mask, dominated_mask, pd_final_mask
+from .propagation import certify, dominated_mask
 from .propagation import final_mask as _final_mask
 
 __all__ = [
@@ -204,7 +204,8 @@ def _cover_exact(n: int, degs: tuple[int, ...], rows: list[int], forced: int) ->
 
 def _pool_add(pool: list[int], row: int) -> None:
     # Keep only minimal rows: a subset row implies every superset row.
-    assert all(q & row != q for q in pool), "cut already implied by the pool"
+    if any(q & row == q for q in pool):
+        raise CertificationError("cut already implied by the pool")
     pool[:] = [q for q in pool if row & q != row]
     pool.append(row)
 
@@ -326,10 +327,9 @@ def reduction_pd_number(graph: Graph, x: VertexSet | None = None) -> SolveResult
     x = _prepare(graph, x, "pd")
     grown = attach_leaves(graph, x, 3).graph
     res = _cg(grown, VertexSet(grown.n), "pd", True)
-    assert res.witness.mask >> graph.n == 0, "a minimum solution used an attached leaf"
-    witness = VertexSet.from_mask(graph.n, res.witness.mask)
-    assert x.issubset(witness)
-    assert pd_final_mask(graph.adj, witness.mask) == (1 << graph.n) - 1
+    # A witness that used an attached leaf loses it here and fails the size check.
+    witness = VertexSet.from_mask(graph.n, res.witness.mask & (1 << graph.n) - 1)
+    certify(graph, witness, x, "pd", res.value)
     return SolveResult(res.value, witness, "reduction", res.cuts_added, res.nodes)
 
 
@@ -341,7 +341,8 @@ def _spread_solves(graph: Graph, v: int) -> tuple[int, SolveResult, SolveResult]
     z_res = _cg(graph, VertexSet(graph.n), "zf", False)
     z_minus_res = _cg(graph.delete_vertex(v), VertexSet(graph.n - 1), "zf", False)
     out = z_res.value - z_minus_res.value
-    assert out in (-1, 0, 1)
+    if out not in (-1, 0, 1):
+        raise CertificationError(f"spread {out} is not -1, 0 or 1")
     return out, z_res, z_minus_res
 
 
@@ -373,8 +374,7 @@ def spread_and_single(graph: Graph, v: int) -> tuple[int, SolveResult]:
         result = SolveResult(z_res.value + 1, witness, "reduction")
     else:
         return s, _cg(graph, VertexSet(graph.n, (v,)), "zf", False)
-    assert len(result.witness) == result.value
-    assert closure_mask(graph.adj, result.witness.mask) == (1 << graph.n) - 1
+    certify(graph, result.witness, (v,), "zf", result.value)
     return s, result
 
 

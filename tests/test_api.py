@@ -1,8 +1,10 @@
 """Public surface: exported names, guard keywords and messages, value types."""
 
+import ast
 import copy
 import inspect
 import pickle
+from pathlib import Path
 
 import pytest
 
@@ -36,6 +38,7 @@ def test_guard_keyword_only_where_a_caller_sets_it():
 
 PUBLIC = [
     "AUDIT_BOUNDS", "ApexTerminalReport", "BoundHypothesisError", "BoundReport",
+    "CertificationError",
     "CompositionBound", "DEFAULT_CG_GUARD", "DEFAULT_EXHAUSTIVE_GUARD", "DEFAULT_FORT_GUARD",
     "DEFAULT_ORACLE_GUARD", "DEFAULT_TERMINAL_CAP", "DuplicateEdgeError",
     "EdgeCountMismatchError", "EdgeListError", "ForcingChainDecomposition", "Fort", "Graph",
@@ -44,7 +47,8 @@ PUBLIC = [
     "MalformedEdgeError", "MalformedHeaderError", "NotATreeError", "PdzfError",
     "PendantComposition", "PropagationTrace", "SelfLoopError", "SolveResult", "TreePart",
     "TreeSplit", "VertexOutOfRangeError", "VertexSet", "__version__", "apex_over",
-    "attach_leaves", "audit", "brute_force_min", "centroid", "check_apex_terminal",
+    "attach_leaves", "audit", "brute_force_min", "centroid", "certify",
+    "check_apex_terminal",
     "component_sum_pd", "component_sum_zf", "compose_boundary_pd", "compose_pendant_zf",
     "degree_sum", "delta_ratio", "domination_half", "enumerate_forts",
     "enumerate_terminal_sets", "extension_half", "family_labels", "family_names",
@@ -72,7 +76,7 @@ MODULES = [
 
 class TestSurface:
     def test_names_are_pinned_and_unique(self):
-        assert len(PUBLIC) == 86
+        assert len(PUBLIC) == 88
         assert sorted(pdzf.__all__) == PUBLIC
         assert len(set(pdzf.__all__)) == len(pdzf.__all__)
 
@@ -146,3 +150,14 @@ def test_value_types_copy_and_pickle(obj):
     protocols = range(2, pickle.HIGHEST_PROTOCOL + 1)
     for twin in [*(pickle.loads(pickle.dumps(obj, p)) for p in protocols), copy.deepcopy(obj)]:
         assert type(twin) is type(obj) and state(twin) == state(obj)
+
+
+def test_package_has_no_assert_statement():
+    # ``python -O`` strips asserts; checks that must hold there raise instead.
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(Path(pdzf.__file__).parent.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Assert)
+    ]
+    assert found == []

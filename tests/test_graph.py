@@ -218,6 +218,11 @@ class TestEdgeList:
             from_edge_list(text)
         assert info.value.line == line
 
+    def test_bytes_that_are_not_utf8_rejected(self):
+        with pytest.raises(MalformedHeaderError, match="line 1: input is not UTF-8") as info:
+            from_edge_list(b"\xff\xfe 1\n")
+        assert info.value.line == 1
+
     def test_isolated_vertices_survive(self):
         g = from_edge_list("5 1\n2 4\n")
         assert g.n == 5 and g.m == 1

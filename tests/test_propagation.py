@@ -144,6 +144,19 @@ class TestForcingChains:
         with pytest.raises(InconsistentTraceError):
             forcing_chains(g, truncated)
 
+    def test_force_onto_a_non_unique_white_neighbor_rejected(self):
+        # The center of a star with all leaves white has three white neighbors.
+        g = generate("star", (3,))
+        trace = zf_closure(g, g.vertex_set([0]))
+        doctored = PropagationTrace(
+            initial=trace.initial,
+            dominated=trace.dominated,
+            rounds=(((0, 1),),),
+            final=g.vertex_set([0, 1]),
+        )
+        with pytest.raises(InconsistentTraceError, match="not the unique white neighbor of 0"):
+            forcing_chains(g, doctored)
+
 
 class TestTerminalSets:
     def test_cycle_terminal_sets(self):

@@ -573,6 +573,13 @@ class TestKRestricted:
         value, x = k_restricted_number(g, 1, "zf")
         assert value == 2 and x.members() == (1,)
 
+    def test_dom_mode_matches_oracle_maximum(self):
+        g = generate("path", (6,))
+        value, x = k_restricted_number(g, 1, "dom")
+        direct = max(brute_force_min(g, g.vertex_set((v,)), "dom").value for v in range(6))
+        assert value == direct == 3
+        assert brute_force_min(g, x, "dom").value == value
+
     def test_matches_direct_maximum(self):
         from itertools import combinations
 

@@ -34,7 +34,7 @@ from .decomposition import (
     tree_split,
 )
 from .errors import GuardExceededError, PdzfError
-from .forts import DEFAULT_FORT_GUARD, enumerate_forts, minimum_violated_fort
+from .forts import DEFAULT_FORT_GUARD, enumerate_forts, fort_from_failed_set, minimum_violated_fort
 from .graph import Graph, VertexSet, from_edge_list, to_edge_list
 from .propagation import (
     DEFAULT_TERMINAL_CAP,
@@ -140,8 +140,8 @@ def _cmd_forts(args: argparse.Namespace) -> tuple[Graph, dict]:
         forts = enumerate_forts(graph, guard=_enum_guard(DEFAULT_FORT_GUARD))
         return graph, {"count": len(forts), "forts": [sorted(f.members) for f in forts]}
     x = _parse_set(args.x, graph)
-    final = final_mask(graph.adj, x.mask, args.mode)
-    fort = minimum_violated_fort(graph, VertexSet.from_mask(graph.n, final))
+    forbidden = fort_from_failed_set(graph, x, args.mode).members.complement()
+    fort = minimum_violated_fort(graph, forbidden)
     return graph, {"mode": args.mode, "fort": sorted(fort.members), "size": len(fort.members)}
 
 
@@ -163,8 +163,8 @@ def _cmd_gen(args: argparse.Namespace) -> None:
 def _cmd_tree_pd(args: argparse.Namespace) -> tuple[Graph, dict]:
     tree = _load_graph(args)
     vertex = None if args.split == "auto" else int(args.split)
-    if tree.n <= 2:
-        res = tree_pd_parallel(tree, vertex)
+    if tree.n <= 2 and vertex is None:
+        res = tree_pd_parallel(tree)
         return tree, {**_result_payload(res), "split": None, "parts": []}
     split = tree_split(tree, vertex)
     parts = [

@@ -243,12 +243,12 @@ def tree_pd_parallel(
 ) -> SolveResult:
     """Power domination number of a tree through a split at one vertex.
 
-    Trees too small to split at a degree-two vertex are solved directly.
+    Trees too small to split are solved directly when no vertex is given.
     ``jobs`` has no effect (see ``tree_split``).
     """
     if not tree.is_tree():
         raise NotATreeError("the parallel tree algorithm needs a tree")
-    if tree.n <= 2:
+    if tree.n <= 2 and vertex is None:
         return restricted_pd_number(tree, None, guard=guard)
     return tree_split(tree, vertex, jobs=jobs, guard=guard).result()
 

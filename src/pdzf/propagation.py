@@ -4,7 +4,10 @@ The color change rule: a blue vertex u with exactly one white neighbor w
 forces w to become blue.  Zero forcing iterates the rule from an initial
 blue set B; power domination first colors the closed neighborhood of S
 (the domination step), then iterates the rule.  Both processes reach a
-unique final set regardless of force order.
+unique final set regardless of force order.  ``closure_mask`` keeps a
+worklist of blue vertices to scan; every blue vertex off it has no white
+neighbor or at least two.  When w turns blue only w and its blue neighbors
+can gain a force, so only they rejoin it; an empty worklist is the closure.
 
 Traces are round-based: each round applies every force that was legal at
 the start of the round, in increasing forcer id, skipping forces whose
@@ -36,19 +39,16 @@ DEFAULT_TERMINAL_CAP = 10**6
 
 
 def closure_mask(adj: tuple[int, ...], blue: int) -> int:
-    """Zero-forcing closure of the blue bitmask, mask-level fast path."""
-    while True:
-        changed = False
-        m = blue
-        while m:
-            low = m & -m
-            m ^= low
-            white = adj[low.bit_length() - 1] & ~blue
-            if white and white & (white - 1) == 0:
-                blue |= white
-                changed = True
-        if not changed:
-            return blue
+    """Zero-forcing closure of the blue bitmask, one worklist pass."""
+    todo = blue
+    while todo:
+        low = todo & -todo
+        todo ^= low
+        white = adj[low.bit_length() - 1] & ~blue
+        if white and white & (white - 1) == 0:
+            blue |= white
+            todo |= white | adj[white.bit_length() - 1] & blue
+    return blue
 
 
 def dominated_mask(adj: tuple[int, ...], s_mask: int) -> int:
@@ -64,13 +64,15 @@ def pd_final_mask(adj: tuple[int, ...], s_mask: int) -> int:
 
 
 def final_mask(adj: tuple[int, ...], mask: int, mode: str) -> int:
-    """Final bitmask of one run from *mask*: observed ("pd"), forced
-    ("zf"), or dominated (any other mode)."""
+    """Final bitmask of one run from *mask*: observed ("pd"), forced ("zf")
+    or dominated ("dom").  Any other mode raises ValueError."""
     if mode == "pd":
         return pd_final_mask(adj, mask)
     if mode == "zf":
         return closure_mask(adj, mask)
-    return dominated_mask(adj, mask)
+    if mode == "dom":
+        return dominated_mask(adj, mask)
+    raise ValueError(f"mode must be 'pd', 'zf' or 'dom', got {mode!r}")
 
 
 def certify(graph: Graph, witness: VertexSet, x, mode: str, value: int | None = None) -> VertexSet:
@@ -163,15 +165,11 @@ def pd_observe(graph: Graph, s: VertexSet) -> PropagationTrace:
 
 
 def is_zero_forcing_set(graph: Graph, b: VertexSet) -> bool:
-    b = graph._coerce(b)
-    full = (1 << graph.n) - 1
-    return closure_mask(graph.adj, b.mask) == full
+    return final_mask(graph.adj, graph._coerce(b).mask, "zf") == (1 << graph.n) - 1
 
 
 def is_power_dominating_set(graph: Graph, s: VertexSet) -> bool:
-    s = graph._coerce(s)
-    full = (1 << graph.n) - 1
-    return pd_final_mask(graph.adj, s.mask) == full
+    return final_mask(graph.adj, graph._coerce(s).mask, "pd") == (1 << graph.n) - 1
 
 
 def forcing_chains(graph: Graph, trace: PropagationTrace) -> ForcingChainDecomposition:
@@ -226,7 +224,7 @@ def enumerate_terminal_sets(
     b = graph._coerce(b)
     adj = graph.adj
     full = (1 << graph.n) - 1
-    if closure_mask(adj, b.mask) != full:
+    if not is_zero_forcing_set(graph, b):
         raise InfeasibleError("the given set does not force the whole graph")
     # memo maps a blue set to the sets of vertices that force after it.
     # An explicit stack resolves the states children first, in increasing

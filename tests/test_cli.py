@@ -143,6 +143,12 @@ class TestForts:
         assert doc["fort"] == [0, 2, 4]
         assert doc["size"] == 3
 
+    def test_feasible_set_has_no_fort(self, cli):
+        for mode, x in (("zf", "0"), ("pd", "2")):
+            code, out, err = cli(["forts", "--mode", mode, "--x", x], P5)
+            assert code == 2 and out == ""
+            assert err == "error: the set is already feasible; no fort to extract\n"
+
 
 class TestGen:
     def test_path_text(self, cli):
@@ -186,6 +192,12 @@ class TestTreePd:
         code, out, _ = cli(["tree-pd"], "2 1\n0 1\n")
         doc = doc_of(out)
         assert doc["value"] == 1 and doc["split"] is None and doc["parts"] == []
+
+    def test_explicit_split_on_a_tiny_tree_is_checked(self, cli):
+        for split, message in (("99", "out of range"), ("0", "degree at least 2")):
+            code, out, err = cli(["tree-pd", "--split", split], "2 1\n0 1\n")
+            assert code == 2 and out == ""
+            assert err.startswith("error: ") and message in err and err.count("\n") == 1
 
     def test_errors(self, cli):
         code, _, err = cli(["tree-pd"], C4)

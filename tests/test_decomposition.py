@@ -118,6 +118,13 @@ class TestTreePdParallel:
         assert tree_pd_parallel(generate("path", (1,))).value == 1
         assert tree_pd_parallel(generate("path", (2,))).value == 1
 
+    def test_explicit_vertex_on_a_tiny_tree_is_checked(self):
+        for n in (1, 2):
+            with pytest.raises(GraphError, match="out of range"):
+                tree_pd_parallel(generate("path", (n,)), 99)
+            with pytest.raises(GraphError, match="degree at least 2"):
+                tree_pd_parallel(generate("path", (n,)), 0)
+
     def test_matches_oracle(self):
         rng = random.Random(71)
         for _ in range(30):

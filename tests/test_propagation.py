@@ -12,6 +12,7 @@ from pdzf import (
     InconsistentTraceError,
     InfeasibleError,
     PropagationTrace,
+    certify,
     enumerate_terminal_sets,
     forcing_chains,
     generate,
@@ -20,6 +21,7 @@ from pdzf import (
     pd_observe,
     zf_closure,
 )
+from pdzf.propagation import _forcing_rounds, closure_mask, dominated_mask, final_mask
 
 from util import random_connected_graph, random_graph, random_subset
 
@@ -100,6 +102,50 @@ class TestClosures:
         big = small | g.vertex_set(random_subset(n, rng))
         assert zf_closure(g, small).final.issubset(zf_closure(g, big).final)
         assert pd_observe(g, small).final.issubset(pd_observe(g, big).final)
+
+
+class TestWorklistClosure:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.integers(min_value=1, max_value=24),
+        st.floats(min_value=0.03, max_value=0.9),
+        st.integers(min_value=0, max_value=10**6),
+        st.booleans(),
+    )
+    def test_matches_the_round_based_closure(self, n, p, seed, dominate):
+        rng = random.Random(seed)
+        g = random_graph(n, rng, p)
+        blue = g.vertex_set(random_subset(n, rng)).mask
+        if dominate:
+            blue = dominated_mask(g.adj, blue)
+        assert closure_mask(g.adj, blue) == _forcing_rounds(g.adj, blue)[1]
+
+    def test_long_paths(self):
+        g = generate("path", (3000,))
+        assert is_zero_forcing_set(g, [0])
+        assert not is_zero_forcing_set(g, [1])
+        assert is_power_dominating_set(g, [0])
+        assert is_power_dominating_set(g, [1500])
+        assert not is_power_dominating_set(generate("star", (3000,)), [1])
+        h = generate("path", (1500,))
+        assert certify(h, h.vertex_set([0]), (), "pd") == h.vertex_set([0])
+        assert certify(h, h.vertex_set([1499]), [1499], "zf", 1) == h.vertex_set([1499])
+
+
+class TestModeDispatch:
+    @pytest.mark.parametrize("mode", ["ZF", "xx"])
+    def test_unknown_mode_raises(self, mode):
+        g = generate("path", (5,))
+        with pytest.raises(ValueError, match="mode must be"):
+            final_mask(g.adj, g.vertex_set([1, 3]).mask, mode)
+        with pytest.raises(ValueError, match="mode must be"):
+            certify(g, g.vertex_set([1, 3]), (), mode)
+
+    def test_dom_is_the_closed_neighborhood(self):
+        g = generate("path", (5,))
+        assert final_mask(g.adj, g.vertex_set([1, 3]).mask, "dom") == 0b11111
+        assert final_mask(g.adj, g.vertex_set([0]).mask, "dom") == 0b11
+        assert certify(g, g.vertex_set([1, 3]), [1], "dom", 2) == g.vertex_set([1, 3])
 
 
 class TestForcingChains:

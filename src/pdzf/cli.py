@@ -114,9 +114,9 @@ def _cmd_solve(args: argparse.Namespace) -> tuple[Graph, dict]:
     elif method == "reduction":
         res = reduction_pd_number(graph, x)
     elif args.mode == "pd":
-        res = restricted_pd_number(graph, x, min_forts=args.min_forts)
+        res = restricted_pd_number(graph, x)
     else:
-        res = restricted_zf_number(graph, x, min_forts=args.min_forts)
+        res = restricted_zf_number(graph, x)
     return graph, {"parameter": args.mode, **_result_payload(res)}
 
 
@@ -352,7 +352,6 @@ def _parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--method", choices=("cg", "oracle", "reduction"), help="default: oracle for dom, else cg"
     )
-    p.add_argument("--min-forts", action="store_true", help="separate minimum forts")
     p.set_defaults(handler=_cmd_solve)
 
     p = sub.add_parser("trace", help="propagation trace of a set")

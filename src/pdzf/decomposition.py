@@ -215,17 +215,11 @@ def tree_split(
         tree._check_vertex(vertex)
     if tree.degree(vertex) < 2:
         raise GraphError("the split vertex must have degree at least 2")
+    rest, rest_ids = tree.induced_subgraph(tree.vertex_set((vertex,)).complement())
+    branches = [rest_ids.lift(c).mask for c in rest.components()]
     parts = []
-    vbit = 1 << vertex
-    for u in tree.neighbors(vertex):
-        seen = frontier = 1 << u
-        while frontier:
-            grow = 0
-            for w in bits(frontier):
-                grow |= tree.adj[w]
-            frontier = grow & ~(seen | vbit)
-            seen |= frontier
-        sub, index = tree.induced_subgraph(VertexSet.from_mask(tree.n, seen | vbit))
+    for branch in sorted(branches, key=lambda b: b & tree.adj[vertex]):  # by the neighbor of v
+        sub, index = tree.induced_subgraph(VertexSet.from_mask(tree.n, branch | 1 << vertex))
         anchor = index.new_of(vertex)
         anchored = _solve_task(sub, (anchor,), guard)
         free = _solve_task(sub, (), guard)

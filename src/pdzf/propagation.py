@@ -4,10 +4,13 @@ The color change rule: a blue vertex u with exactly one white neighbor w
 forces w to become blue.  Zero forcing iterates the rule from an initial
 blue set B; power domination first colors the closed neighborhood of S
 (the domination step), then iterates the rule.  Both processes reach a
-unique final set regardless of force order.  ``closure_mask`` keeps a
-worklist of blue vertices to scan; every blue vertex off it has no white
-neighbor or at least two.  When w turns blue only w and its blue neighbors
-can gain a force, so only they rejoin it; an empty worklist is the closure.
+unique final set regardless of force order.  When w turns blue only w and
+its blue neighbors can gain a force; every other blue vertex keeps its
+count of white neighbors.  So after the first scan nothing here rescans
+the blue set: ``closure_mask`` keeps a worklist of such vertices and
+stops when it is empty, a trace round scans the vertices the previous
+round colored and their blue neighbors, and a terminal-set state scans
+its parent's forcers, the new blue vertex and its blue neighbors.
 
 Traces are round-based: each round applies every force that was legal at
 the start of the round, in increasing forcer id, skipping forces whose
@@ -120,48 +123,51 @@ class ForcingChainDecomposition:
     terminals: VertexSet
 
 
-def _forcing_rounds(adj: tuple[int, ...], blue: int) -> tuple[tuple, int]:
-    rounds = []
+def _forces(adj: tuple[int, ...], blue: int, cand: int) -> list[tuple[int, int]]:
+    """Legal forces (u, white bit) of the blue vertices in *cand*, u increasing."""
+    out = []
+    for u in bits(cand & blue):
+        white = adj[u] & ~blue
+        if white and white & (white - 1) == 0:
+            out.append((u, white))
+    return out
+
+
+def _trace(graph: Graph, blue: int, dominated: int) -> PropagationTrace:
+    """Trace of zero forcing from *blue*; a domination step colored *dominated*."""
+    adj, n = graph.adj, graph.n
+    initial, scan, rounds = blue, blue, []
     while True:
-        legal = []
-        for u in bits(blue):
-            white = adj[u] & ~blue
-            if white and white & (white - 1) == 0:
-                legal.append((u, white.bit_length() - 1))
-        applied = []
-        for u, w in legal:
-            if blue >> w & 1:
+        legal = _forces(adj, blue, scan)
+        scan, applied = 0, []
+        for u, white in legal:
+            if blue & white:
                 continue  # target colored earlier this round
-            blue |= 1 << w
+            w = white.bit_length() - 1
+            blue |= white
+            scan |= white | adj[w]
             applied.append((u, w))
         if not applied:
-            return tuple(rounds), blue
+            break
         rounds.append(tuple(applied))
+    return PropagationTrace(
+        initial=VertexSet.from_mask(n, initial),
+        dominated=VertexSet.from_mask(n, dominated),
+        rounds=tuple(rounds),
+        final=VertexSet.from_mask(n, blue),
+    )
 
 
 def zf_closure(graph: Graph, b: VertexSet) -> PropagationTrace:
     """Run zero forcing from B and return the full trace."""
-    b = graph._coerce(b)
-    rounds, final = _forcing_rounds(graph.adj, b.mask)
-    return PropagationTrace(
-        initial=b,
-        dominated=VertexSet(graph.n),
-        rounds=rounds,
-        final=VertexSet.from_mask(graph.n, final),
-    )
+    return _trace(graph, graph._coerce(b).mask, 0)
 
 
 def pd_observe(graph: Graph, s: VertexSet) -> PropagationTrace:
     """Run power domination from S: dominate N[S], then zero-force."""
     s = graph._coerce(s)
     observed = dominated_mask(graph.adj, s.mask)
-    rounds, final = _forcing_rounds(graph.adj, observed)
-    return PropagationTrace(
-        initial=VertexSet.from_mask(graph.n, observed),
-        dominated=VertexSet.from_mask(graph.n, observed & ~s.mask),
-        rounds=rounds,
-        final=VertexSet.from_mask(graph.n, final),
-    )
+    return _trace(graph, observed, observed & ~s.mask)
 
 
 def is_zero_forcing_set(graph: Graph, b: VertexSet) -> bool:
@@ -229,26 +235,23 @@ def enumerate_terminal_sets(
     # memo maps a blue set to the sets of vertices that force after it.
     # An explicit stack resolves the states children first, in increasing
     # forcer order: recursing once per force overflows on long paths.  A
-    # state waits on the stack with its moves until its children are done.
+    # state waits with its candidate forcers, then with its moves until its
+    # children are done; a child already in the memo is popped at once.
     memo: dict[int, frozenset[int]] = {full: frozenset((0,))}
-    stack: list[tuple[int, list | None]] = [(b.mask, None)]
+    stack: list[tuple[int, int, list | None]] = [(b.mask, b.mask, None)]
     while stack:
-        blue, moves = stack[-1]
+        blue, cand, moves = stack[-1]
         if blue in memo:
             stack.pop()
             continue
         if moves is None:
-            moves = []
-            for u in bits(blue):
-                white = adj[u] & ~blue
-                if white and white & (white - 1) == 0:
-                    moves.append((1 << u, blue | white))
-            stack[-1] = (blue, moves)
-            pending = [(after, None) for _, after in reversed(moves) if after not in memo]
-            if pending:
-                stack.extend(pending)
-                continue
-        out = {rest | ubit for ubit, after in moves for rest in memo[after]}
+            moves = _forces(adj, blue, cand)
+            stack[-1] = (blue, cand, moves)
+            legal = sum(1 << u for u, _ in moves)
+            for _, white in reversed(moves):
+                stack.append((blue | white, legal | white | adj[white.bit_length() - 1], None))
+            continue
+        out = {rest | 1 << u for u, w in moves for rest in memo[blue | w]}
         if len(out) > cap:
             raise GuardExceededError(
                 f"more than cap={cap} terminal sets (partial count {len(out)})"

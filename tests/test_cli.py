@@ -59,11 +59,6 @@ class TestSolve:
             values[method] = doc_of(out)["value"]
         assert values == {"cg": 1, "oracle": 1, "reduction": 1}
 
-    def test_min_forts_flag(self, cli):
-        code, out, _ = cli(["solve", "--min-forts", "--x", "1,3"], P5)
-        assert code == 0
-        assert doc_of(out)["value"] == 2
-
     def test_zf_and_dom_modes(self, cli):
         code, out, _ = cli(["solve", "--mode", "zf", "--x", "2"], P5)
         assert doc_of(out)["value"] == 2
@@ -125,6 +120,15 @@ class TestTrace:
         assert doc["dominated"] == [0]
         assert doc["rounds"] == []
         assert doc["feasible"] is False
+
+    def test_long_path(self, cli):
+        gen_code, path, _ = cli(["gen", "path", "1500"])
+        code, out, _ = cli(["trace", "--mode", "zf", "--x", "0"], path)
+        assert gen_code == 0 and code == 0
+        doc = doc_of(out)
+        assert len(doc["rounds"]) == 1499 and doc["feasible"] is True
+        code, out, _ = cli(["terminals", "--x", "0"], path)
+        assert code == 0 and doc_of(out)["terminal_sets"] == [[1499]]
 
 
 class TestForts:
@@ -413,6 +417,7 @@ class TestInputContract:
             ([], P4),
             (["spread"], P4),
             (["tree-pd", "--jobs", "2"], P4),
+            (["solve", "--min-forts"], P4),
         ],
     )
     def test_malformed_input_exits_2(self, cli, argv, stdin):

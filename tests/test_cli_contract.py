@@ -116,14 +116,13 @@ MODES = (lambda n: st.sampled_from(["pd", "zf", "dom"]), st.sampled_from(["ZF", 
 FORCING_MODES = (lambda n: st.sampled_from(["pd", "zf"]), st.sampled_from(["dom", "ZF", ""]))
 SETS = (lambda n: vertex_lists(n).map(joined), BAD_SETS)
 
-# Each command's flags: a bare flag (None), or the good values for an
-# n-vertex graph and the bad values to draw for it.
+# Each command's flags: the good values for an n-vertex graph and the bad
+# values to draw for it.
 FLAGS = {
     "solve": {
         "--mode": MODES,
         "--x": SETS,
         "--method": (lambda n: st.sampled_from(["cg", "oracle", "reduction"]), st.just("bad")),
-        "--min-forts": None,
     },
     "trace": {"--mode": FORCING_MODES, "--x": SETS},
     "forts": {"--mode": FORCING_MODES, "--x": SETS},
@@ -143,7 +142,7 @@ def requests(draw):
     argv = [command]
     for flag, values in FLAGS[command].items():
         if not one_in(draw, 4):
-            argv += [flag] if values is None else [flag, mostly(draw, values[0](n), values[1])]
+            argv += [flag, mostly(draw, values[0](n), values[1])]
     if one_in(draw, 16):
         argv += ["--graph", draw(st.sampled_from(["no-such-graph.txt", "."]))]
     if one_in(draw, 16):

@@ -7,11 +7,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pdzf import (
+    DEFAULT_TERMINAL_CAP,
     Graph,
     GuardExceededError,
     InconsistentTraceError,
     InfeasibleError,
     PropagationTrace,
+    VertexSet,
     certify,
     enumerate_terminal_sets,
     forcing_chains,
@@ -21,9 +23,15 @@ from pdzf import (
     pd_observe,
     zf_closure,
 )
-from pdzf.propagation import _forcing_rounds, closure_mask, dominated_mask, final_mask
+from pdzf.propagation import closure_mask, dominated_mask, final_mask
 
-from util import random_connected_graph, random_graph, random_subset
+from util import (
+    random_connected_graph,
+    random_graph,
+    random_subset,
+    reference_rounds,
+    reference_terminal_sets,
+)
 
 
 def replay(graph, trace):
@@ -118,7 +126,7 @@ class TestWorklistClosure:
         blue = g.vertex_set(random_subset(n, rng)).mask
         if dominate:
             blue = dominated_mask(g.adj, blue)
-        assert closure_mask(g.adj, blue) == _forcing_rounds(g.adj, blue)[1]
+        assert closure_mask(g.adj, blue) == zf_closure(g, VertexSet.from_mask(n, blue)).final.mask
 
     def test_long_paths(self):
         g = generate("path", (3000,))
@@ -130,6 +138,45 @@ class TestWorklistClosure:
         h = generate("path", (1500,))
         assert certify(h, h.vertex_set([0]), (), "pd") == h.vertex_set([0])
         assert certify(h, h.vertex_set([1499]), [1499], "zf", 1) == h.vertex_set([1499])
+
+
+class TestTracesMatchTheReference:
+    """The traces scan only what the previous round colored; the reference
+    rescans every blue vertex in each round."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.integers(min_value=1, max_value=24),
+        st.floats(min_value=0.03, max_value=0.9),
+        st.integers(min_value=0, max_value=10**6),
+        st.booleans(),
+    )
+    def test_same_rounds_and_sets(self, n, p, seed, dominate):
+        rng = random.Random(seed)
+        g = random_graph(n, rng, p)
+        b = g.vertex_set(random_subset(n, rng))
+        if dominate:
+            b = VertexSet.from_mask(n, dominated_mask(g.adj, b.mask))
+        rounds, final = reference_rounds(g.adj, b.mask)
+        zf = zf_closure(g, b)
+        assert (zf.initial, zf.dominated, zf.rounds, zf.final.mask) == (
+            b, VertexSet(n), rounds, final,
+        )
+        observed = dominated_mask(g.adj, b.mask)
+        rounds, final = reference_rounds(g.adj, observed)
+        pd = pd_observe(g, b)
+        assert (pd.initial.mask, pd.dominated.mask, pd.rounds, pd.final.mask) == (
+            observed, observed & ~b.mask, rounds, final,
+        )
+
+    def test_long_path_runs(self):
+        g = generate("path", (3000,))
+        trace = zf_closure(g, g.vertex_set([0]))
+        assert len(trace.rounds) == 2999
+        assert trace.rounds[-1] == ((2998, 2999),)
+        assert all(len(rnd) == 1 for rnd in trace.rounds)
+        assert len(trace.final) == 3000
+        assert len(pd_observe(g, g.vertex_set([1500])).final) == 3000
 
 
 class TestModeDispatch:
@@ -241,3 +288,51 @@ class TestTerminalSets:
             g = generate("c5_hub", (k,))
             b = g.closed_neighborhood(g.vertex_set([5 * k]))
             assert len(enumerate_terminal_sets(g, b)) == 4**k
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.integers(min_value=1, max_value=10),
+        st.integers(min_value=0, max_value=10**6),
+        st.sampled_from([1, 2, 3, 5, 10, DEFAULT_TERMINAL_CAP]),
+    )
+    def test_matches_the_reference(self, n, seed, cap):
+        rng = random.Random(seed)
+        g = random_connected_graph(n, rng) if n > 1 else Graph(1)
+        drop = g.vertex_set(random_subset(n, rng, rng.randint(0, min(n, 3))))
+        b = g.full_set() - drop
+        if not is_zero_forcing_set(g, b):
+            b = g.full_set()
+        try:
+            expected = reference_terminal_sets(g, b, cap)
+        except GuardExceededError as exc:
+            with pytest.raises(GuardExceededError) as info:
+                enumerate_terminal_sets(g, b, cap)
+            assert str(info.value) == str(exc)
+        else:
+            assert enumerate_terminal_sets(g, b, cap) == expected
+
+    @pytest.mark.parametrize(
+        "k,cap,message",
+        [
+            (3, 10, "more than cap=10 terminal sets (partial count 12)"),
+            (4, 10, "more than cap=10 terminal sets (partial count 12)"),
+            (5, 10, "more than cap=10 terminal sets (partial count 12)"),
+            (4, 100, "more than cap=100 terminal sets (partial count 128)"),
+            (5, 100, "more than cap=100 terminal sets (partial count 128)"),
+        ],
+    )
+    def test_hub_cap_messages(self, k, cap, message):
+        g = generate("c5_hub", (k,))
+        b = g.closed_neighborhood(g.vertex_set([5 * k]))
+        with pytest.raises(GuardExceededError) as info:
+            enumerate_terminal_sets(g, b, cap)
+        assert str(info.value) == message
+
+    def test_hub_under_the_cap(self):
+        g = generate("c5_hub", (3,))
+        b = g.closed_neighborhood(g.vertex_set([15]))
+        assert len(enumerate_terminal_sets(g, b, 100)) == 4**3
+
+    def test_long_path(self):
+        g = generate("path", (3000,))
+        assert enumerate_terminal_sets(g, g.vertex_set([0])) == {g.vertex_set([2999])}

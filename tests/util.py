@@ -1,4 +1,6 @@
-"""Shared test helpers: seeded generators and a small-graph sweep."""
+"""Shared test helpers: seeded generators, a small-graph sweep, and
+full-rescan reference implementations of the forcing traces and the
+terminal-set enumeration."""
 
 from __future__ import annotations
 
@@ -6,7 +8,8 @@ import random
 from functools import lru_cache
 from itertools import combinations
 
-from pdzf import Graph
+from pdzf import Graph, GuardExceededError, VertexSet
+from pdzf.graph import bits
 
 
 def random_tree(n: int, rng: random.Random) -> Graph:
@@ -154,3 +157,59 @@ def graph_sweep(max_n: int) -> tuple[Graph, ...]:
             if g.is_connected():
                 out.append(g)
     return tuple(out)
+
+
+def reference_rounds(adj: tuple[int, ...], blue: int) -> tuple[tuple, int]:
+    """Forcing rounds and final bitmask from *blue*, rescanning every blue
+    vertex in each round: each round applies the forces legal at its start,
+    in increasing forcer id, skipping targets colored earlier in it."""
+    rounds = []
+    while True:
+        legal = []
+        for u in bits(blue):
+            white = adj[u] & ~blue
+            if white and white & (white - 1) == 0:
+                legal.append((u, white.bit_length() - 1))
+        applied = []
+        for u, w in legal:
+            if blue >> w & 1:
+                continue
+            blue |= 1 << w
+            applied.append((u, w))
+        if not applied:
+            return tuple(rounds), blue
+        rounds.append(tuple(applied))
+
+
+def reference_terminal_sets(graph: Graph, b: VertexSet, cap: int) -> set[VertexSet]:
+    """Terminal sets from the zero forcing set *b*, with every memo state
+    scanning all its blue vertices for forcers; raises GuardExceededError
+    with the library's message once a state has more than *cap* sets."""
+    adj = graph.adj
+    full = (1 << graph.n) - 1
+    memo: dict[int, frozenset[int]] = {full: frozenset((0,))}
+    stack: list[tuple[int, list | None]] = [(b.mask, None)]
+    while stack:
+        blue, moves = stack[-1]
+        if blue in memo:
+            stack.pop()
+            continue
+        if moves is None:
+            moves = []
+            for u in bits(blue):
+                white = adj[u] & ~blue
+                if white and white & (white - 1) == 0:
+                    moves.append((1 << u, blue | white))
+            stack[-1] = (blue, moves)
+            pending = [(after, None) for _, after in reversed(moves) if after not in memo]
+            if pending:
+                stack.extend(pending)
+                continue
+        out = {rest | ubit for ubit, after in moves for rest in memo[after]}
+        if len(out) > cap:
+            raise GuardExceededError(
+                f"more than cap={cap} terminal sets (partial count {len(out)})"
+            )
+        memo[blue] = frozenset(out)
+        stack.pop()
+    return {VertexSet.from_mask(graph.n, full & ~forcers) for forcers in memo[b.mask]}

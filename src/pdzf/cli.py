@@ -12,6 +12,9 @@ vertices per connected component, or the terminal-set cap); the
 environment variable PDZF_GUARD_N overrides the oracle and fort
 enumeration guards.  A CertificationError (an answer that fails its own
 replay, a bug) also exits 2 with its one-line ``error:`` message.
+
+Start-up dominates a request, so each handler imports the modules only
+its subcommand runs, and ``runtime_ms`` includes those imports.
 """
 
 from __future__ import annotations
@@ -22,35 +25,11 @@ import json
 import os
 import sys
 import time
-from fractions import Fraction
 
-from .bounds import audit
 from .constructions import apex_over, family_labels, family_names, generate
-from .decomposition import (
-    check_apex_terminal,
-    compose_boundary_pd,
-    compose_pendant_zf,
-    tree_pd_parallel,
-    tree_split,
-)
 from .errors import GuardExceededError, PdzfError
-from .forts import DEFAULT_FORT_GUARD, enumerate_forts, fort_from_failed_set, minimum_violated_fort
 from .graph import Graph, VertexSet, from_edge_list, to_edge_list
-from .propagation import (
-    DEFAULT_TERMINAL_CAP,
-    enumerate_terminal_sets,
-    final_mask,
-    pd_observe,
-    zf_closure,
-)
-from .solver import (
-    DEFAULT_ORACLE_GUARD,
-    brute_force_min,
-    reduction_pd_number,
-    restricted_pd_number,
-    restricted_zf_number,
-    spread_and_single,
-)
+from .propagation import DEFAULT_TERMINAL_CAP, enumerate_terminal_sets, final_mask
 
 _METHODS = {"pd": ("cg", "oracle", "reduction"), "zf": ("cg", "oracle"), "dom": ("oracle",)}
 
@@ -84,6 +63,8 @@ def _digest(graph: Graph) -> str:
 
 
 def _jsonable(value):
+    from fractions import Fraction
+
     if isinstance(value, VertexSet):
         return sorted(value)
     if isinstance(value, Fraction):
@@ -104,6 +85,14 @@ def _result_payload(res) -> dict:
 
 
 def _cmd_solve(args: argparse.Namespace) -> tuple[Graph, dict]:
+    from .solver import (
+        DEFAULT_ORACLE_GUARD,
+        brute_force_min,
+        reduction_pd_number,
+        restricted_pd_number,
+        restricted_zf_number,
+    )
+
     graph = _load_graph(args)
     method = args.method or _METHODS[args.mode][0]
     if method not in _METHODS[args.mode]:
@@ -121,6 +110,8 @@ def _cmd_solve(args: argparse.Namespace) -> tuple[Graph, dict]:
 
 
 def _cmd_trace(args: argparse.Namespace) -> tuple[Graph, dict]:
+    from .propagation import pd_observe, zf_closure
+
     graph = _load_graph(args)
     x = _parse_set(args.x, graph)
     trace = pd_observe(graph, x) if args.mode == "pd" else zf_closure(graph, x)
@@ -135,6 +126,13 @@ def _cmd_trace(args: argparse.Namespace) -> tuple[Graph, dict]:
 
 
 def _cmd_forts(args: argparse.Namespace) -> tuple[Graph, dict]:
+    from .forts import (
+        DEFAULT_FORT_GUARD,
+        enumerate_forts,
+        fort_from_failed_set,
+        minimum_violated_fort,
+    )
+
     graph = _load_graph(args)
     if args.x is None:
         forts = enumerate_forts(graph, guard=_enum_guard(DEFAULT_FORT_GUARD))
@@ -161,6 +159,8 @@ def _cmd_gen(args: argparse.Namespace) -> None:
 
 
 def _cmd_tree_pd(args: argparse.Namespace) -> tuple[Graph, dict]:
+    from .decomposition import tree_pd_parallel, tree_split
+
     tree = _load_graph(args)
     vertex = None if args.split == "auto" else int(args.split)
     if tree.n <= 2 and vertex is None:
@@ -231,6 +231,8 @@ def _check_spec(spec, kind: str) -> None:
 
 
 def _cmd_compose(args: argparse.Namespace) -> tuple[Graph, dict]:
+    from .decomposition import check_apex_terminal, compose_boundary_pd, compose_pendant_zf
+
     spec = _read_spec(args)
     base = from_edge_list(spec["base"])
     if args.kind == "pendant":
@@ -279,6 +281,8 @@ def _cmd_compose(args: argparse.Namespace) -> tuple[Graph, dict]:
 
 
 def _cmd_bounds(args: argparse.Namespace) -> tuple[Graph, dict]:
+    from .bounds import audit
+
     graph = _load_graph(args)
     x = _parse_set(args.x, graph)
     reports = audit(graph, x)
@@ -306,6 +310,8 @@ def _cmd_terminals(args: argparse.Namespace) -> tuple[Graph, dict]:
 
 
 def _cmd_spread(args: argparse.Namespace) -> tuple[Graph, dict]:
+    from .solver import spread_and_single
+
     graph = _load_graph(args)
     s, res = spread_and_single(graph, args.vertex)
     return graph, {"vertex": args.vertex, "spread": s, **_result_payload(res)}

@@ -10,6 +10,8 @@ import pytest
 
 import pdzf
 
+from util import fresh_python
+
 # A caller sets the guard of these: the CLI's PDZF_GUARD_N reaches the
 # oracle and fort enumeration, and the solve entry points are the way to
 # run the exact solver past its default vertex limit.  Every other
@@ -90,6 +92,20 @@ class TestSurface:
         exec("from pdzf import *", namespace)
         del namespace["__builtins__"]
         assert sorted(namespace) == PUBLIC
+
+    def test_dir_lists_every_name(self):
+        assert set(PUBLIC) <= set(dir(pdzf))
+
+    def test_unknown_name_is_an_attribute_error(self):
+        with pytest.raises(AttributeError, match="'no_such_name'"):
+            pdzf.no_such_name
+        assert not hasattr(pdzf, "no_such_name")
+
+    @pytest.mark.parametrize("module", [m.__name__ for m in MODULES])
+    def test_module_resolves_first_in_a_fresh_interpreter(self, module):
+        proc = fresh_python(f"import pdzf; print(pdzf.{module.split('.')[1]}.__name__)")
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == module
 
 
 # Each exponential route raises GuardExceededError with this exact text.

@@ -3,14 +3,14 @@
 import hashlib
 import io
 import json
-import os
-import subprocess
 import sys
 
 import pytest
 
 from pdzf import Graph, enumerate_forts, from_edge_list, generate, is_fort, solver, to_edge_list
 from pdzf.cli import main
+
+from util import fresh_python
 
 P3 = "3 2\n0 1\n1 2\n"
 P5 = "5 4\n0 1\n1 2\n2 3\n3 4\n"
@@ -426,17 +426,54 @@ class TestInputContract:
         assert err.startswith("error:") and err.count("\n") == 1
 
 
-def test_import_starts_no_process_pool():
-    # Importing the pool machinery costs a large share of CLI start-up.
-    code = (
-        "import pdzf.cli, sys; "
-        "print(sorted(m for m in sys.modules "
-        "if m.split('.')[0] in ('concurrent', 'multiprocessing')))"
-    )
-    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
-    env = {**os.environ, "PYTHONPATH": src}
-    proc = subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60
-    )
+# The pdzf modules each subcommand loads.  The command line always needs
+# graph, propagation and constructions (the gen help lists the families);
+# every other module is imported by the handler that runs it, so that a
+# request does not compile and import code it never calls.
+CORE = {"pdzf", "pdzf.cli", "pdzf.constructions", "pdzf.errors", "pdzf.graph", "pdzf.propagation"}
+SOLVE = CORE | {"pdzf.forts", "pdzf.solver"}
+SPLIT = SOLVE | {"pdzf.decomposition"}
+LOADS = [
+    (["solve", "--x", "0"], P3, SOLVE),
+    (["trace", "--mode", "zf", "--x", "0"], P3, CORE),
+    (["forts"], P3, CORE | {"pdzf.forts"}),
+    (["gen", "path", "3"], "", CORE),
+    (["tree-pd"], P3, SPLIT),
+    (["compose", "pendant"], json.dumps({"base": P3, "x": [0], "attachments": []}), SPLIT),
+    (["bounds"], P3, SPLIT | {"pdzf.bounds"}),
+    (["terminals", "--x", "0"], P3, CORE),
+    (["spread", "--vertex", "0"], P3, SOLVE),
+    (["check", "--witness", "1"], P3, CORE),
+]
+
+# Runs main in a fresh interpreter, so that each handler's own imports run
+# for real, and reports the loaded modules on standard error.
+CHILD = (
+    "import sys\n"
+    "from pdzf.cli import main\n"
+    "code = main(sys.argv[1:])\n"
+    "sys.stderr.write(' '.join(sorted(sys.modules)))\n"
+    "raise SystemExit(code)\n"
+)
+
+
+@pytest.mark.parametrize("argv,stdin,loads", LOADS, ids=[case[0][0] for case in LOADS])
+def test_subcommand_imports_only_what_it_runs(argv, stdin, loads):
+    proc = fresh_python(CHILD, argv, stdin)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "[]"
+    if argv[0] == "gen":
+        assert from_edge_list(proc.stdout).n == 3
+    else:
+        assert json.loads(proc.stdout)["command"] == argv[0]
+    modules = set(proc.stderr.split())
+    assert {m for m in modules if m.split(".")[0] == "pdzf"} == loads
+    # Exact fractions are for the bounds catalogue only; the process pools
+    # are gone, and importing their machinery would cost start-up time.
+    assert ("fractions" in modules) == (argv[0] == "bounds")
+    assert not {m for m in modules if m.split(".")[0] in ("concurrent", "multiprocessing")}
+
+
+def test_package_import_loads_no_submodule():
+    proc = fresh_python("import pdzf, sys; print(sorted(m for m in sys.modules if 'pdzf' in m))")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "['pdzf']"

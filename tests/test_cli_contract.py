@@ -14,6 +14,7 @@ import sys
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from pdzf import family_names, from_edge_list
 from pdzf.cli import main
 
 
@@ -36,12 +37,15 @@ def run(argv, stdin, guard=None):
     return code, out.getvalue(), err.getvalue()
 
 
-def assert_contract(code, out, err):
+def assert_contract(code, out, err, command=None):
     assert code in (0, 2, 3)
     assert "Traceback" not in out + err
     if code:
         lines = err.splitlines()
         assert out == "" and len(lines) == 1 and lines[0].startswith("error: "), (out, err)
+    elif command == "gen":
+        assert err == ""
+        from_edge_list(out)  # edge-list text that pipes straight back in
     else:
         assert err == "" and isinstance(json.loads(out), dict)
 
@@ -133,14 +137,24 @@ FLAGS = {
     "check": {"--mode": MODES, "--witness": SETS, "--x": SETS},
 }
 STRAY = st.sampled_from(["--bogus", "extra", "--x", "--graph", "--mode"])
+# Known and unknown families; apex_over reads the drawn edge list.  Most
+# families take one parameter, and none exceeds 12, so no draw builds a
+# large graph.
+FAMILIES = st.sampled_from([*family_names(), "apex_over", "bogus", "", "PATH"])
 
 
 @st.composite
 def requests(draw):
-    command = draw(st.sampled_from(sorted(FLAGS)))
+    command = draw(st.sampled_from(sorted([*FLAGS, "gen"])))
     n, text = draw(edge_lists())
     argv = [command]
-    for flag, values in FLAGS[command].items():
+    if command == "gen":
+        argv.append(draw(FAMILIES))
+        for _ in range(mostly(draw, st.just(1), st.integers(0, 3))):
+            argv.append(mostly(draw, st.integers(-2, 12).map(str), BAD_INTS))
+        if one_in(draw, 3):
+            argv += ["--t", mostly(draw, SETS[0](n), SETS[1])]
+    for flag, values in FLAGS.get(command, {}).items():
         if not one_in(draw, 4):
             argv += [flag, mostly(draw, values[0](n), values[1])]
     if one_in(draw, 16):
@@ -200,7 +214,7 @@ C4 = "4 4\n0 1\n0 3\n1 2\n2 3\n"
 @example((["forts"], C4, "1"))  # a guard stop, exit 3
 @example((["terminals", "--x", "0,1", "--cap", "1"], C4, None))  # over the cap, exit 3
 def test_every_request_keeps_the_contract(request):
-    assert_contract(*run(*request))
+    assert_contract(*run(*request), request[0][0])
 
 
 @settings(max_examples=200, deadline=None)

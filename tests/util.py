@@ -1,15 +1,33 @@
-"""Shared test helpers: seeded generators, a small-graph sweep, and
+"""Shared test helpers: seeded generators, a small-graph sweep,
 full-rescan reference implementations of the forcing traces and the
-terminal-set enumeration."""
+terminal-set enumeration, and a fresh interpreter."""
 
 from __future__ import annotations
 
+import os
 import random
+import subprocess
+import sys
 from functools import lru_cache
 from itertools import combinations
 
 from pdzf import Graph, GuardExceededError, VertexSet
 from pdzf.graph import bits
+
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+
+
+def fresh_python(code: str, argv=(), stdin: str = "") -> subprocess.CompletedProcess:
+    """Run *code* with *argv* in a new interpreter that imports pdzf from
+    this checkout, so that no module is loaded before the code runs."""
+    return subprocess.run(
+        [sys.executable, "-c", code, *argv],
+        input=stdin,
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": SRC},
+        timeout=60,
+    )
 
 
 def random_tree(n: int, rng: random.Random) -> Graph:

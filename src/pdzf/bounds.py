@@ -56,6 +56,13 @@ def _report(name: str, lhs, rhs, **context) -> BoundReport:
     )
 
 
+def _min_dominating(graph: Graph, targets: VertexSet) -> VertexSet:
+    """A minimum vertex set whose closed neighborhoods meet every target."""
+    rows = [graph.adj[w] | 1 << w for w in targets]
+    cover, _ = _cover_exact(graph.n, tuple(a.bit_count() for a in graph.adj), rows, 0)
+    return VertexSet.from_mask(graph.n, cover)
+
+
 def domination_half(graph: Graph) -> BoundReport:
     """gamma(G) <= n / 2 for a graph without isolated vertices.
 
@@ -65,9 +72,8 @@ def domination_half(graph: Graph) -> BoundReport:
     if graph.n == 0 or any(graph.degree(v) == 0 for v in graph.vertices()):
         raise BoundHypothesisError("the graph must have no isolated vertices")
     check_guard("set cover", DEFAULT_CG_GUARD, graph.n)
-    rows = [a | 1 << v for v, a in enumerate(graph.adj)]
-    cover, _ = _cover_exact(graph.n, tuple(a.bit_count() for a in graph.adj), rows, 0)
-    return _report("domination_half", cover.bit_count(), Fraction(graph.n, 2))
+    lhs = len(_min_dominating(graph, graph.full_set()))
+    return _report("domination_half", lhs, Fraction(graph.n, 2))
 
 
 def pd_third(graph: Graph) -> BoundReport:
@@ -153,12 +159,7 @@ def component_sum_pd(
         comp_big = out_map.lift(comp)
         if dominating_variant:
             part, pmap = graph.induced_subgraph(comp_big)
-            targets = pmap.restrict(comp_big & uncovered)
-            rows = [part.closed_neighborhood((w,)).mask for w in targets]
-            cover, _ = _cover_exact(
-                part.n, tuple(part.degree(v) for v in part.vertices()), rows, 0
-            )
-            anchors.append(pmap.lift(VertexSet.from_mask(part.n, cover)))
+            anchors.append(pmap.lift(_min_dominating(part, pmap.restrict(comp_big & uncovered))))
         else:
             anchors.append(comp_big & uncovered)
     anchor = VertexSet(graph.n, (v for a in anchors for v in a))

@@ -6,7 +6,8 @@ schema marker, command echo, a 12-hex digest of the canonical edge list,
 the per-command payload, and a trailing ``runtime_ms`` field, the only
 one allowed to vary between identical runs.  ``gen`` writes edge-list
 text so it can be piped straight back in.  Exit status is 0 on success,
-2 on any input problem, 3 when any guard stops the computation (the
+2 on any input problem (also one too large to hold in memory or nested
+too deeply to parse), 3 when any guard stops the computation (the
 vertex limits of the oracle, fort enumeration and the solver's 64
 vertices per connected component, or the terminal-set cap); the
 environment variable PDZF_GUARD_N overrides the oracle and fort
@@ -425,8 +426,11 @@ def main(argv: list[str] | None = None) -> int:
     except GuardExceededError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except (PdzfError, ValueError, OSError, KeyError, json.JSONDecodeError) as exc:
+    except (PdzfError, ValueError, OSError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except (MemoryError, RecursionError) as exc:  # too many vertices, JSON nested too deeply
+        print(f"error: the input is too large to process ({type(exc).__name__})", file=sys.stderr)
         return 2
     doc = {
         "schema": 1,

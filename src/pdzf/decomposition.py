@@ -130,7 +130,7 @@ class TreeSplit:
             for res in (part.anchored, part.free, part.deleted):
                 cuts += res.cuts_added
                 nodes += res.nodes
-        if len(self.active) >= 2 or not self.costly:
+        if self.value > self.base_value:
             for part in self.parts:
                 mask |= part.index.lift(part.anchored.witness).mask
         else:
@@ -199,11 +199,9 @@ def tree_split(
 
     The split vertex must have degree at least two; by default it is the
     centroid.  Each branch yields three independent subproblems, all
-    solved in the calling process: two worker processes were slower on
-    random trees of up to 112 vertices and about 15% faster only at the
-    guard's edge, 124 vertices (see the README).  ``jobs`` has no effect;
-    it must be positive and is kept only so that existing callers that
-    pass it keep working.
+    solved in the calling process.  ``jobs`` has no effect; it must be
+    positive and is kept only so that existing callers that pass it keep
+    working.
     """
     if not tree.is_tree():
         raise NotATreeError("tree splitting needs a tree")
@@ -211,8 +209,6 @@ def tree_split(
         raise ValueError(f"jobs must be positive, got {jobs}")
     if vertex is None:
         vertex = centroid(tree)
-    else:
-        tree._check_vertex(vertex)
     if tree.degree(vertex) < 2:
         raise GraphError("the split vertex must have degree at least 2")
     rest, rest_ids = tree.induced_subgraph(tree.vertex_set((vertex,)).complement())
@@ -266,7 +262,6 @@ class LeafClassification:
 
 def leaf_classify(graph: Graph, u: int) -> LeafClassification:
     """Classify the leaf u by comparing the anchored and deleted minima."""
-    graph._check_vertex(u)
     if graph.degree(u) != 1:
         raise GraphError(f"vertex {u} has degree {graph.degree(u)}, not a leaf")
     anchored = restricted_pd_number(graph, graph.vertex_set((u,)))

@@ -7,6 +7,7 @@ public surface deals in :class:`VertexSet` objects and plain ints.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from typing import IO, Iterable, Iterator
 
 from .errors import (
@@ -28,6 +29,14 @@ def bits(mask: int) -> Iterator[int]:
         low = mask & -mask
         yield low.bit_length() - 1
         mask ^= low
+
+
+def dominated_mask(adj: tuple[int, ...], mask: int) -> int:
+    """The closed neighborhood N[S] of the bitmask of S."""
+    out = mask
+    for v in bits(mask):
+        out |= adj[v]
+    return out
 
 
 class VertexSet:
@@ -238,11 +247,7 @@ class Graph:
         return VertexSet(self.n, s)
 
     def closed_neighborhood(self, s: VertexSet | Iterable[int]) -> VertexSet:
-        s = self._coerce(s)
-        mask = s.mask
-        for v in bits(s.mask):
-            mask |= self.adj[v]
-        return VertexSet.from_mask(self.n, mask)
+        return VertexSet.from_mask(self.n, dominated_mask(self.adj, self._coerce(s).mask))
 
     def components(self) -> list[VertexSet]:
         """Connected components, ordered by smallest member."""
@@ -254,9 +259,7 @@ class Graph:
             comp = 1 << v
             frontier = 1 << v
             while frontier:
-                grown = comp
-                for u in bits(frontier):
-                    grown |= self.adj[u]
+                grown = comp | dominated_mask(self.adj, frontier)
                 frontier = grown & ~comp
                 comp = grown
             seen |= comp
@@ -315,8 +318,9 @@ def from_edge_list(source: str | bytes | IO) -> Graph:
         except UnicodeDecodeError as exc:
             raise MalformedHeaderError(f"input is not UTF-8 ({exc.reason})", 1) from None
     header: tuple[int, int] | None = None
-    edges: list[tuple[int, int]] = []
-    seen: set[tuple[int, int]] = set()
+    # Only vertices with an edge get a row until the end: a parse error allocates nothing.
+    rows: defaultdict[int, int] = defaultdict(int)
+    count = 0
     last_line = 0
     for line_no, raw in enumerate(source.splitlines(), 1):
         last_line = line_no
@@ -336,7 +340,7 @@ def from_edge_list(source: str | bytes | IO) -> Graph:
             header = (n, m)
             continue
         n, m = header
-        if len(edges) == m:
+        if count == m:
             raise EdgeCountMismatchError(f"more than the declared {m} edges", line_no)
         if len(tokens) != 2:
             raise MalformedEdgeError(f"expected edge 'u v', got {text!r}", line_no)
@@ -349,18 +353,20 @@ def from_edge_list(source: str | bytes | IO) -> Graph:
                 raise VertexOutOfRangeError(f"vertex {w} out of range [0, {n})", line_no)
         if u == v:
             raise SelfLoopError(f"self-loop at vertex {u}", line_no)
-        key = (min(u, v), max(u, v))
-        if key in seen:
+        if rows[u] >> v & 1:
             raise DuplicateEdgeError(f"duplicate edge ({u}, {v})", line_no)
-        seen.add(key)
-        edges.append((u, v))
+        rows[u] |= 1 << v
+        rows[v] |= 1 << u
+        count += 1
     if header is None:
         raise MalformedHeaderError("missing 'n m' header", max(last_line, 1))
-    if len(edges) != header[1]:
-        raise EdgeCountMismatchError(
-            f"declared {header[1]} edges, found {len(edges)}", max(last_line, 1)
-        )
-    return Graph(header[0], edges)
+    n, m = header
+    if count != m:
+        raise EdgeCountMismatchError(f"declared {m} edges, found {count}", max(last_line, 1))
+    adj = [0] * n
+    for v, row in rows.items():
+        adj[v] = row
+    return Graph._from_masks(n, tuple(adj))
 
 
 def to_edge_list(graph: Graph) -> str:

@@ -23,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import CertificationError, GuardExceededError, InconsistentTraceError, InfeasibleError
-from .graph import Graph, VertexSet, bits
+from .graph import Graph, VertexSet, bits, dominated_mask
 
 __all__ = [
     "PropagationTrace",
@@ -52,13 +52,6 @@ def closure_mask(adj: tuple[int, ...], blue: int) -> int:
             blue |= white
             todo |= white | adj[white.bit_length() - 1] & blue
     return blue
-
-
-def dominated_mask(adj: tuple[int, ...], s_mask: int) -> int:
-    out = s_mask
-    for v in bits(s_mask):
-        out |= adj[v]
-    return out
 
 
 def pd_final_mask(adj: tuple[int, ...], s_mask: int) -> int:

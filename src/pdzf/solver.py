@@ -123,35 +123,32 @@ def minimum_solutions(
     """Every minimum feasible superset of X, in lexicographic order."""
     x = _prepare(graph, x, mode)
     check_guard("exhaustive", DEFAULT_EXHAUSTIVE_GUARD, graph.n)
-    best = brute_force_min(graph, x, mode).value
     adj = graph.adj
     full = (1 << graph.n) - 1
     free = [v for v in range(graph.n) if v not in x]
-    out = []
-    for combo in combinations(free, best - len(x)):
-        mask = x.mask
-        for v in combo:
-            mask |= 1 << v
-        if _final_mask(adj, mask, mode) == full:
-            out.append(VertexSet.from_mask(graph.n, mask))
-    return out
+    for extra in range(len(free) + 1):
+        out = []
+        for combo in combinations(free, extra):
+            mask = x.mask
+            for v in combo:
+                mask |= 1 << v
+            if _final_mask(adj, mask, mode) == full:
+                out.append(VertexSet.from_mask(graph.n, mask))
+        if out:
+            return out
+    raise AssertionError("unreachable: the full vertex set is always feasible")
 
 
-def _cover_greedy(rows: list[int], forced: int, n: int) -> int:
-    chosen = forced
-    active = [r for r in rows if r & chosen == 0]
-    while active:
-        hits = [0] * n
-        for r in active:
-            while r:
-                low = r & -r
-                r ^= low
-                hits[low.bit_length() - 1] += 1
-        # index() takes the lowest id among the most-hit vertices.
-        best_v = hits.index(max(hits))
-        chosen |= 1 << best_v
-        active = [r for r in active if r >> best_v & 1 == 0]
-    return chosen
+def _hits(rows: list[int], within: int, n: int) -> list[int]:
+    """How many rows each vertex of the mask *within* meets."""
+    hits = [0] * n
+    for r in rows:
+        r &= within
+        while r:
+            low = r & -r
+            r ^= low
+            hits[low.bit_length() - 1] += 1
+    return hits
 
 
 def _cover_exact(n: int, degs: tuple[int, ...], rows: list[int], forced: int) -> tuple[int, int]:
@@ -164,7 +161,13 @@ def _cover_exact(n: int, degs: tuple[int, ...], rows: list[int], forced: int) ->
     pairwise-disjoint uncovered rows give the lower bound.
     """
     active = [r for r in rows if r & forced == 0]
-    best = _cover_greedy(active, forced, n)
+    best, left = forced, active
+    while left:
+        hits = _hits(left, (1 << n) - 1, n)
+        # index() takes the lowest id among the most-hit vertices.
+        best_v = hits.index(max(hits))
+        best |= 1 << best_v
+        left = [r for r in left if r >> best_v & 1 == 0]
     best_size = best.bit_count()
     nodes = 0
 
@@ -175,25 +178,22 @@ def _cover_exact(n: int, degs: tuple[int, ...], rows: list[int], forced: int) ->
             if size < best_size:
                 best, best_size = chosen, size
             return
-        allowed = []
+        pick = 0
         taken = 0
         lower = 0
         for r in todo:
             a = r & ~banned
             if a == 0:
                 return
-            allowed.append(a)
+            if not pick or a.bit_count() < pick.bit_count():
+                pick = a
             if a & taken == 0:
                 taken |= a
                 lower += 1
         if size + lower >= best_size:
             return
-        pick = min(allowed, key=lambda a: a.bit_count())
-        members = sorted(
-            bits(pick),
-            key=lambda v: (-sum(r >> v & 1 for r in todo), -degs[v], v),
-        )
-        for v in members:
+        hits = _hits(todo, pick, n)
+        for v in sorted(bits(pick), key=lambda v: (-hits[v], -degs[v], v)):
             vbit = 1 << v
             dfs(chosen | vbit, size + 1, [r for r in todo if r & vbit == 0], banned)
             banned |= vbit

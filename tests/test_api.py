@@ -177,3 +177,28 @@ def test_package_has_no_assert_statement():
         if isinstance(node, ast.Assert)
     ]
     assert found == []
+
+
+def test_benchmark_hooks():
+    # The benchmark wraps these private names and reads what they take and
+    # return; one that vanished or changed shape would make its counters
+    # read null instead of failing.
+    from pdzf import cli, decomposition, propagation, solver
+
+    assert list(inspect.signature(solver._cover_exact).parameters) == [
+        "n", "degs", "rows", "forced",
+    ]  # fmt: skip
+    g = pdzf.generate("path", (5,))
+    rows = [a | 1 << v for v, a in enumerate(g.adj)]
+    mask, nodes = solver._cover_exact(g.n, tuple(a.bit_count() for a in g.adj), rows, 0)
+    assert type(mask) is int and mask.bit_count() == 2
+    assert type(nodes) is int and nodes >= 1
+    assert solver._final_mask is propagation.final_mask
+    fort = solver.minimum_violated_fort(g, g.vertex_set([1]))
+    assert isinstance(fort.members, pdzf.VertexSet) and fort.members.members() == (0, 2, 4)
+    assert callable(decomposition._solve_task)
+    assert callable(cli.from_edge_list) and callable(cli._digest)
+    # Two stars with three leaves each, centers 0 and 4 joined.
+    tree = pdzf.Graph(8, [(0, 1), (0, 2), (0, 3), (0, 4), (4, 5), (4, 6), (4, 7)])
+    assert decomposition.tree_pd_parallel(tree, jobs=1).value == 2
+    assert decomposition.tree_split(tree, jobs=2).result().value == 2

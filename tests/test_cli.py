@@ -418,6 +418,10 @@ class TestInputContract:
             (["spread"], P4),
             (["tree-pd", "--jobs", "2"], P4),
             (["solve", "--min-forts"], P4),
+            # 2**62 vertices: the adjacency list fails to allocate at once.
+            pytest.param(["trace"], "4611686018427387904 0\n", id="huge-n-trace"),
+            pytest.param(["gen", "path", "4611686018427387904"], "", id="huge-n-gen"),
+            pytest.param(["compose", "pendant"], "[" * 200000, id="deep-json"),
         ],
     )
     def test_malformed_input_exits_2(self, cli, argv, stdin):

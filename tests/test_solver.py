@@ -7,6 +7,7 @@ value of every mode, so a regression in either the generators or any
 solver route trips the same table.
 """
 
+import hashlib
 import random
 
 import pytest
@@ -18,6 +19,8 @@ from pdzf import (
     SolveResult,
     VertexSet,
     brute_force_min,
+    component_sum_pd,
+    domination_half,
     generate,
     is_fort,
     is_power_dominating_set,
@@ -29,9 +32,11 @@ from pdzf import (
     restricted_pd_number,
     restricted_zf_number,
     spread,
+    tree_pd_parallel,
     z_restricted_single,
 )
-from util import random_connected_graph, random_graph, random_subset
+from pdzf.solver import _cover_exact
+from util import random_connected_graph, random_graph, random_subset, random_tree
 
 BATTERY = {
     ('path', (3,)): {
@@ -604,3 +609,61 @@ class TestKRestricted:
             k_restricted_number(g, 1, "bad")
         with pytest.raises(GuardExceededError):
             k_restricted_number(generate("path", (21,)), 1)
+
+
+# The sha256 of every answer below on a seeded set of small instances.
+# Any change to a value, a witness, a cut count or a node count changes
+# it; a change that means to do so re-records it and says why.
+ANSWERS_SHA256 = "b967efca831badb5cb142052906184fa5a2783d6b90d762d6a79f6ce36892876"
+
+
+def _answer(res):
+    return (res.value, res.witness.members(), res.method, res.cuts_added, res.nodes)
+
+
+def test_answers_are_byte_identical():
+    rng = random.Random(2017)
+    answers = []
+    for i in range(200):
+        n = rng.randint(4, 14)
+        tree = i % 3 == 0
+        if tree:
+            g = random_tree(n, rng)
+        elif i % 3 == 1:
+            g = random_connected_graph(n, rng)
+        else:
+            g = random_graph(n, rng, p=0.2)
+        x = g.vertex_set(random_subset(n, rng, rng.randint(0, 2)))
+        solves = [
+            restricted_pd_number(g, x),
+            restricted_zf_number(g, x),
+            restricted_pd_number(g, x, min_forts=True),
+            restricted_zf_number(g, x, min_forts=True),
+            reduction_pd_number(g, x),
+        ]
+        if tree:
+            solves.append(tree_pd_parallel(g))
+        answers.append([_answer(res) for res in solves])
+        if n <= 10:
+            answers.append(
+                [[s.members() for s in minimum_solutions(g, x, m)] for m in ("pd", "zf", "dom")]
+            )
+        rows = [a | 1 << v for v, a in enumerate(g.adj)]
+        answers.append(_cover_exact(n, tuple(a.bit_count() for a in g.adj), rows, x.mask))
+        if all(g.adj):
+            report = domination_half(g)
+            answers.append((report.lhs, report.rhs))
+        inner = g.vertex_set(random_subset(n, rng, rng.randint(2, n - 2)))
+        sub, imap = g.induced_subgraph(inner)
+        s = imap.lift(restricted_pd_number(sub).witness)
+        report = component_sum_pd(g, inner, s, dominating_variant=True)
+        answers.append(
+            (
+                report.lhs,
+                report.rhs,
+                report.context["witness"].members(),
+                [a.members() for a in report.context["anchors"]],
+            )
+        )
+    digest = hashlib.sha256(repr(answers).encode()).hexdigest()
+    assert digest == ANSWERS_SHA256

@@ -100,7 +100,11 @@ def restricted_pd_third(graph: Graph, x: VertexSet | None = None) -> BoundReport
 
 
 def _check_inner_pds(graph: Graph, inner, s, mode: str):
-    """Validate an induced-subgraph bound instance and solve nothing."""
+    """Validate an induced-subgraph bound instance and solve nothing.
+
+    Returns the coerced inner and solved sets with the subgraph induced
+    by the outside and its IndexMap.
+    """
     inner = graph._coerce(inner)
     s = graph._coerce(s)
     outside = inner.complement()
@@ -111,7 +115,20 @@ def _check_inner_pds(graph: Graph, inner, s, mode: str):
     sub, imap = graph.induced_subgraph(inner)
     if final_mask(sub.adj, imap.restrict(s).mask, mode) != (1 << sub.n) - 1:
         raise BoundHypothesisError("the given set does not solve the inner subgraph")
-    return inner, outside, s
+    return (inner, s, *graph.induced_subgraph(outside))
+
+
+def _component_sum(graph: Graph, mode: str, given, out_sub, out_map, anchors, **context):
+    """Report |given| plus the outside's minimum through the anchors, whose
+    union with ``given`` is certified, against the restricted value of G."""
+    solve = restricted_pd_number if mode == "pd" else restricted_zf_number
+    res = solve(out_sub, out_map.restrict(VertexSet(graph.n, (v for a in anchors for v in a))))
+    total = len(given) + res.value
+    witness = certify(graph, given | out_map.lift(res.witness), given, mode, total)
+    lhs = solve(graph, given).value
+    return _report(
+        f"component_sum_{mode}", lhs, total, witness=witness, anchors=tuple(anchors), **context
+    )
 
 
 def extension_half(graph: Graph, inner, s) -> BoundReport:
@@ -122,12 +139,11 @@ def extension_half(graph: Graph, inner, s) -> BoundReport:
     them.  Half of the non-isolated outside dominates it, each isolated
     vertex pays for itself, then S finishes the rest.
     """
-    inner, outside, s = _check_inner_pds(graph, inner, s, "pd")
-    out_sub, _ = graph.induced_subgraph(outside)
+    _, s, out_sub, _ = _check_inner_pds(graph, inner, s, "pd")
     isolated = sum(1 for v in out_sub.vertices() if out_sub.degree(v) == 0)
     lhs = restricted_pd_number(graph, s).value
-    rhs = len(s) + Fraction(len(outside), 2) + Fraction(isolated, 2)
-    return _report("extension_half", lhs, rhs, outside=len(outside), isolated=isolated)
+    rhs = len(s) + Fraction(out_sub.n, 2) + Fraction(isolated, 2)
+    return _report("extension_half", lhs, rhs, outside=out_sub.n, isolated=isolated)
 
 
 def component_sum_pd(
@@ -147,13 +163,11 @@ def component_sum_pd(
     not already dominated by S; then S goes first, so the sum can only
     use different anchors.
     """
-    inner, outside, s = _check_inner_pds(graph, inner, s, "pd")
-    dominated = graph.closed_neighborhood(s) & inner
+    inner, s, out_sub, out_map = _check_inner_pds(graph, inner, s, "pd")
     if dominating_variant:
         uncovered = graph.closed_neighborhood(inner) - graph.closed_neighborhood(s)
     else:
-        uncovered = graph.closed_neighborhood(inner - dominated)
-    out_sub, out_map = graph.induced_subgraph(outside)
+        uncovered = graph.closed_neighborhood(inner - graph.closed_neighborhood(s))
     anchors = []
     for comp in out_sub.components():
         comp_big = out_map.lift(comp)
@@ -162,18 +176,8 @@ def component_sum_pd(
             anchors.append(pmap.lift(_min_dominating(part, pmap.restrict(comp_big & uncovered))))
         else:
             anchors.append(comp_big & uncovered)
-    anchor = VertexSet(graph.n, (v for a in anchors for v in a))
-    res = restricted_pd_number(out_sub, out_map.restrict(anchor))
-    total = len(s) + res.value
-    witness = certify(graph, s | out_map.lift(res.witness), s, "pd", total)
-    lhs = restricted_pd_number(graph, s).value
-    return _report(
-        "component_sum_pd",
-        lhs,
-        total,
-        witness=witness,
-        anchors=tuple(anchors),
-        dominating_variant=dominating_variant,
+    return _component_sum(
+        graph, "pd", s, out_sub, out_map, anchors, dominating_variant=dominating_variant
     )
 
 
@@ -184,15 +188,13 @@ def third_boundary(graph: Graph, inner, s) -> BoundReport:
     component has at least 3 vertices.  Each component pays a third of
     its size plus one per border vertex it must hand to the inner part.
     """
-    inner, outside, s = _check_inner_pds(graph, inner, s, "pd")
-    out_sub, _ = graph.induced_subgraph(outside)
+    inner, s, out_sub, _ = _check_inner_pds(graph, inner, s, "pd")
     if any(len(c) < 3 for c in out_sub.components()):
         raise BoundHypothesisError("every outside component needs at least 3 vertices")
-    dominated = graph.closed_neighborhood(s) & inner
-    border = graph.closed_neighborhood(inner - dominated) & outside
+    border = graph.closed_neighborhood(inner - graph.closed_neighborhood(s)) - inner
     lhs = restricted_pd_number(graph, s).value
-    rhs = len(s) + Fraction(len(outside), 3) + len(border)
-    return _report("third_boundary", lhs, rhs, outside=len(outside), border=len(border))
+    rhs = len(s) + Fraction(out_sub.n, 3) + len(border)
+    return _report("third_boundary", lhs, rhs, outside=out_sub.n, border=len(border))
 
 
 def partition_pd(graph: Graph, v1, w1, w2) -> BoundReport:
@@ -222,17 +224,10 @@ def component_sum_zf(graph: Graph, inner, b) -> BoundReport:
     Coloring every N_H lets B force the inner part without interference,
     after which each component is forced on its own.
     """
-    inner, outside, b = _check_inner_pds(graph, inner, b, "zf")
+    inner, b, out_sub, out_map = _check_inner_pds(graph, inner, b, "zf")
     reach = graph.closed_neighborhood(inner)
-    out_sub, out_map = graph.induced_subgraph(outside)
     anchors = [out_map.lift(comp) & reach for comp in out_sub.components()]
-    res = restricted_zf_number(out_sub, out_map.restrict(reach))
-    total = len(b) + res.value
-    witness = certify(graph, b | out_map.lift(res.witness), b, "zf", total)
-    lhs = restricted_zf_number(graph, b).value
-    return _report(
-        "component_sum_zf", lhs, total, witness=witness, anchors=tuple(anchors)
-    )
+    return _component_sum(graph, "zf", b, out_sub, out_map, anchors)
 
 
 def partition_zf(graph: Graph, v1) -> BoundReport:

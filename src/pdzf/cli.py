@@ -35,14 +35,15 @@ from .propagation import DEFAULT_TERMINAL_CAP, enumerate_terminal_sets, final_ma
 _METHODS = {"pd": ("cg", "oracle", "reduction"), "zf": ("cg", "oracle"), "dom": ("oracle",)}
 
 
-def _enum_guard(default: int) -> int:
+def _guard() -> dict:
+    """The ``guard`` keyword PDZF_GUARD_N sets, if it is set."""
     env = os.environ.get("PDZF_GUARD_N")
     if env is None:
-        return default
+        return {}
     guard = int(env)
     if guard < 1:
         raise ValueError(f"PDZF_GUARD_N must be positive, got {guard}")
-    return guard
+    return {"guard": guard}
 
 
 def _parse_set(text: str | None, graph: Graph) -> VertexSet:
@@ -51,12 +52,16 @@ def _parse_set(text: str | None, graph: Graph) -> VertexSet:
     return graph.vertex_set(int(part) for part in text.split(","))
 
 
-def _load_graph(args: argparse.Namespace) -> Graph:
-    path = getattr(args, "graph", None)
+def _read(path: str | None) -> str:
+    """The text of the file at *path*, or of standard input without one."""
     if path:
         with open(path, "r", encoding="utf-8") as handle:
-            return from_edge_list(handle.read())
-    return from_edge_list(sys.stdin.read())
+            return handle.read()
+    return sys.stdin.read()
+
+
+def _load_graph(args: argparse.Namespace) -> Graph:
+    return from_edge_list(_read(getattr(args, "graph", None)))
 
 
 def _digest(graph: Graph) -> str:
@@ -87,7 +92,6 @@ def _result_payload(res) -> dict:
 
 def _cmd_solve(args: argparse.Namespace) -> tuple[Graph, dict]:
     from .solver import (
-        DEFAULT_ORACLE_GUARD,
         brute_force_min,
         reduction_pd_number,
         restricted_pd_number,
@@ -100,7 +104,7 @@ def _cmd_solve(args: argparse.Namespace) -> tuple[Graph, dict]:
         raise ValueError(f"method {method!r} does not apply to mode {args.mode!r}")
     x = _parse_set(args.x, graph)
     if method == "oracle":
-        res = brute_force_min(graph, x, args.mode, guard=_enum_guard(DEFAULT_ORACLE_GUARD))
+        res = brute_force_min(graph, x, args.mode, **_guard())
     elif method == "reduction":
         res = reduction_pd_number(graph, x)
     elif args.mode == "pd":
@@ -127,16 +131,11 @@ def _cmd_trace(args: argparse.Namespace) -> tuple[Graph, dict]:
 
 
 def _cmd_forts(args: argparse.Namespace) -> tuple[Graph, dict]:
-    from .forts import (
-        DEFAULT_FORT_GUARD,
-        enumerate_forts,
-        fort_from_failed_set,
-        minimum_violated_fort,
-    )
+    from .forts import enumerate_forts, fort_from_failed_set, minimum_violated_fort
 
     graph = _load_graph(args)
     if args.x is None:
-        forts = enumerate_forts(graph, guard=_enum_guard(DEFAULT_FORT_GUARD))
+        forts = enumerate_forts(graph, **_guard())
         return graph, {"count": len(forts), "forts": [sorted(f.members) for f in forts]}
     x = _parse_set(args.x, graph)
     forbidden = fort_from_failed_set(graph, x, args.mode).members.complement()
@@ -146,7 +145,7 @@ def _cmd_forts(args: argparse.Namespace) -> tuple[Graph, dict]:
 
 def _cmd_gen(args: argparse.Namespace) -> None:
     if args.family == "apex_over":
-        base = from_edge_list(sys.stdin.read())
+        base = _load_graph(args)
         graph = apex_over(base, _parse_set(args.t, base))
         labels = {}
     else:
@@ -181,22 +180,13 @@ def _cmd_tree_pd(args: argparse.Namespace) -> tuple[Graph, dict]:
     return tree, {**_result_payload(split.result()), "split": split.vertex, "parts": parts}
 
 
-# The vertex-list fields each compose kind requires, besides "base".
+# The vertex-list fields each compose kind requires, besides "base", named
+# as the parameters of the library call they are passed to.
 _SPEC_SETS = {"pendant": ("x",), "boundary": ("v1", "w1", "w2"), "apex": ("x", "t")}
 
 
 def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
-
-
-def _read_spec(args: argparse.Namespace) -> dict:
-    if args.spec:
-        with open(args.spec, "r", encoding="utf-8") as handle:
-            spec = json.load(handle)
-    else:
-        spec = json.loads(sys.stdin.read())
-    _check_spec(spec, args.kind)
-    return spec
 
 
 def _check_spec(spec, kind: str) -> None:
@@ -234,18 +224,19 @@ def _check_spec(spec, kind: str) -> None:
 def _cmd_compose(args: argparse.Namespace) -> tuple[Graph, dict]:
     from .decomposition import check_apex_terminal, compose_boundary_pd, compose_pendant_zf
 
-    spec = _read_spec(args)
+    spec = json.loads(_read(args.spec))
+    _check_spec(spec, args.kind)
     base = from_edge_list(spec["base"])
+    # The branch graphs parse before the vertex sets, so that a spec with a
+    # bad branch and a bad vertex id reports the branch.
     if args.kind == "pendant":
         attachments = tuple(
             (from_edge_list(a["graph"]), a["root"], a["at"]) for a in spec["attachments"]
         )
-        comp = compose_pendant_zf(
-            base,
-            base.vertex_set(spec["x"]),
-            attachments,
-            cap=spec.get("cap", DEFAULT_TERMINAL_CAP),
-        )
+    sets = {key: base.vertex_set(spec[key]) for key in _SPEC_SETS[args.kind]}
+    cap = spec.get("cap", DEFAULT_TERMINAL_CAP)
+    if args.kind == "pendant":
+        comp = compose_pendant_zf(base, attachments=attachments, cap=cap, **sets)
         payload = {
             **_result_payload(comp.result),
             "parts": [p.value for p in comp.parts],
@@ -253,24 +244,14 @@ def _cmd_compose(args: argparse.Namespace) -> tuple[Graph, dict]:
             "glued": to_edge_list(comp.graph),
         }
     elif args.kind == "boundary":
-        bound = compose_boundary_pd(
-            base,
-            base.vertex_set(spec["v1"]),
-            base.vertex_set(spec["w1"]),
-            base.vertex_set(spec["w2"]),
-        )
+        bound = compose_boundary_pd(base, **sets)
         payload = {
             "value": bound.value,
             "witness": sorted(bound.witness),
             "parts": [p.value for p in bound.parts],
         }
     else:
-        report = check_apex_terminal(
-            base,
-            base.vertex_set(spec["x"]),
-            base.vertex_set(spec["t"]),
-            cap=spec.get("cap", DEFAULT_TERMINAL_CAP),
-        )
+        report = check_apex_terminal(base, cap=cap, **sets)
         payload = {
             "apex": report.apex,
             "covered": report.covered,

@@ -337,9 +337,9 @@ def compose_boundary_pd(
     w2 = graph._coerce(w2)
     v2 = v1.complement()
     if not v1 or not v2:
-        raise GraphError("both sides of the partition must be nonempty")
+        raise BoundHypothesisError("both sides of the partition must be nonempty")
     if not w1.issubset(v1) or not w2.issubset(v2):
-        raise GraphError("each restriction must live on its own side")
+        raise BoundHypothesisError("each restriction must live on its own side")
     border = (graph.closed_neighborhood(v2) & v1) | (graph.closed_neighborhood(v1) & v2)
     if not border.issubset(graph.closed_neighborhood(w1 | w2)):
         raise BoundHypothesisError("the restrictions must dominate every border vertex")
@@ -414,6 +414,10 @@ def compose_pendant_zf(
     edges = graph.edges()
     placements = []
     total = graph.n
+    parts = []
+    mask = x.mask
+    cuts = base.cuts_added
+    nodes = base.nodes
     for branch, root, at in attachments:
         place = []
         for v in branch.vertices():
@@ -424,12 +428,6 @@ def compose_pendant_zf(
                 total += 1
         edges.extend((place[a], place[b]) for a, b in branch.edges())
         placements.append(tuple(place))
-    glued = Graph(total, edges)
-    parts = []
-    mask = x.mask
-    cuts = base.cuts_added
-    nodes = base.nodes
-    for (branch, root, at), place in zip(attachments, placements):
         res = restricted_zf_number(branch, branch.vertex_set((root,)))
         parts.append(res)
         cuts += res.cuts_added
@@ -437,6 +435,7 @@ def compose_pendant_zf(
         for v in res.witness:
             if v != root:
                 mask |= 1 << place[v]
+    glued = Graph(total, edges)
     value = len(x) - len(attachments) + sum(res.value for res in parts)
     witness = certify(glued, VertexSet.from_mask(glued.n, mask), (), "zf", value)
     result = SolveResult(value, witness, "reduction", cuts, nodes)

@@ -1,5 +1,6 @@
 """Bound catalogue: tight instances, hypothesis checks, and the audit."""
 
+import hashlib
 import random
 from fractions import Fraction
 
@@ -8,15 +9,25 @@ import pytest
 from pdzf import (
     AUDIT_BOUNDS,
     BoundHypothesisError,
+    BoundReport,
+    CompositionBound,
     Graph,
     GuardExceededError,
+    PendantComposition,
+    PdzfError,
+    SolveResult,
+    VertexSet,
     audit,
     brute_force_min,
+    check_apex_terminal,
     component_sum_pd,
     component_sum_zf,
+    compose_boundary_pd,
+    compose_pendant_zf,
     degree_sum,
     delta_ratio,
     domination_half,
+    enumerate_terminal_sets,
     extension_half,
     generate,
     leaf_bound_witness,
@@ -24,11 +35,14 @@ from pdzf import (
     partition_pd,
     partition_zf,
     pd_third,
+    restricted_pd_number,
     restricted_pd_third,
+    restricted_zf_number,
     third_boundary,
+    to_edge_list,
 )
 
-from util import graph_sweep, random_connected_graph, random_subset
+from util import graph_sweep, random_connected_graph, random_graph, random_subset
 
 
 def assert_tight(report, value):
@@ -234,6 +248,10 @@ class TestHypothesisErrors:
             partition_zf(g, g.vertex_set(range(6)))
         with pytest.raises(BoundHypothesisError):
             partition_pd(g, g.vertex_set([0, 1, 2]), g.vertex_set([0]), g.vertex_set([5]))
+        with pytest.raises(BoundHypothesisError):
+            partition_pd(g, g.vertex_set([]), g.vertex_set([]), g.vertex_set([]))
+        with pytest.raises(BoundHypothesisError):
+            partition_pd(g, g.vertex_set([0, 1]), g.vertex_set([2]), g.vertex_set([5]))
 
     def test_degree_sum_set_checks(self):
         g = generate("path", (4,))
@@ -268,3 +286,107 @@ class TestAudit:
         g = Graph(5, [(0, 1), (0, 2), (0, 3)])
         reports = audit(g)
         assert [r.name for r in reports] == ["delta_ratio", "neighborhood_blowup"]
+
+
+def _plain(value):
+    """A report field with every vertex set as its member tuple."""
+    if isinstance(value, VertexSet):
+        return value.members()
+    if isinstance(value, (tuple, list)):
+        return tuple(_plain(v) for v in value)
+    if isinstance(value, dict):
+        return tuple((k, _plain(v)) for k, v in value.items())
+    return value
+
+
+def _answer(result):
+    """A bound report, audit, solve or composition as plain values."""
+    if isinstance(result, BoundReport):
+        return (result.name, result.lhs, result.rhs, result.holds, result.tight,
+                _plain(result.context))
+    if isinstance(result, list):
+        return tuple(_answer(r) for r in result)
+    if isinstance(result, SolveResult):
+        return (result.value, result.witness.members(), result.method,
+                result.cuts_added, result.nodes)
+    if isinstance(result, CompositionBound):
+        return (result.value, result.witness.members(), tuple(map(_answer, result.parts)))
+    if isinstance(result, PendantComposition):
+        return (to_edge_list(result.graph), _answer(result.result),
+                tuple(map(_answer, result.parts)), result.placements)
+    return (result.apex, result.covered, result.touched, result.forces_apex,
+            _answer(result.result))
+
+
+def _outcome(call):
+    """What one call answers, or the class and message of its error."""
+    try:
+        return _answer(call())
+    except PdzfError as exc:
+        return (type(exc).__name__, str(exc))
+
+
+# The sha256 of every bound report, audit and composition answer below on
+# seeded small instances.  Any change to a side, a context entry or an
+# error changes it; a change that means to do so re-records it and says
+# why.
+BOUNDS_SHA256 = "bd85a5b7b379e5578c203198a221592d2229ba7833534e0fc3baf02d5e0652ab"
+
+
+def test_bound_answers_are_byte_identical():
+    rng = random.Random(2018)
+    answers = []
+    for i in range(150):
+        n = rng.randint(3, 10)
+        g = random_connected_graph(n, rng) if i % 2 else random_graph(n, rng, p=0.3)
+        x = g.vertex_set(random_subset(n, rng, rng.randint(0, 2)))
+        inner = g.vertex_set(random_subset(n, rng, rng.randint(1, n - 1)))
+        sub, imap = g.induced_subgraph(inner)
+        if i % 4 == 3:
+            s = b = g.vertex_set(random_subset(n, rng, rng.randint(0, len(inner))))
+        else:
+            s = imap.lift(restricted_pd_number(sub).witness)
+            b = imap.lift(restricted_zf_number(sub).witness)
+        v1 = g.vertex_set(random_subset(n, rng, rng.randint(1, n - 1)))
+        v2 = v1.complement()
+        w1 = g.closed_neighborhood(v2) & v1
+        w2 = g.closed_neighborhood(v1) & v2
+        calls = (
+            lambda: domination_half(g),
+            lambda: pd_third(g),
+            lambda: restricted_pd_third(g, x),
+            lambda: extension_half(g, inner, s),
+            lambda: component_sum_pd(g, inner, s),
+            lambda: component_sum_pd(g, inner, s, dominating_variant=True),
+            lambda: third_boundary(g, inner, s),
+            lambda: partition_pd(g, v1, w1, w2),
+            lambda: component_sum_zf(g, inner, b),
+            lambda: partition_zf(g, v1),
+            lambda: degree_sum(g, x),
+            lambda: degree_sum(g, x, s),
+            lambda: delta_ratio(g, x),
+            lambda: neighborhood_blowup(g, x),
+            lambda: audit(g, x),
+            lambda: compose_boundary_pd(g, v1, w1, w2),
+        )
+        answers.append([_outcome(call) for call in calls])
+    for _ in range(12):
+        base = random_connected_graph(rng.randint(3, 6), rng)
+        x = restricted_zf_number(base).witness
+        sets = sorted(enumerate_terminal_sets(base, x), key=lambda ts: ts.members())
+        terminal = sets[rng.randrange(len(sets))].members()
+        ats = rng.sample(terminal, rng.randint(1, min(2, len(terminal))))
+        attachments = []
+        for at in ats:
+            branch = random_connected_graph(rng.randint(2, 5), rng)
+            attachments.append((branch, rng.randrange(branch.n), at))
+        t = base.vertex_set(random_subset(base.n, rng, rng.randint(1, base.n)))
+        answers.append(
+            [
+                _outcome(lambda: compose_pendant_zf(base, x, tuple(attachments))),
+                _outcome(lambda: check_apex_terminal(base, x, t)),
+                _outcome(lambda: check_apex_terminal(base, x, base.vertex_set(terminal))),
+            ]
+        )
+    digest = hashlib.sha256(repr(answers).encode()).hexdigest()
+    assert digest == BOUNDS_SHA256

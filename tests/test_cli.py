@@ -3,6 +3,7 @@
 import hashlib
 import io
 import json
+import os
 import sys
 
 import pytest
@@ -394,6 +395,7 @@ class TestDeterminism:
 
 
 P4 = "4 3\n0 1\n1 2\n2 3\n"
+MISSING = os.path.join(os.path.dirname(os.path.abspath(__file__)), "no-such-spec.json")
 
 
 class TestInputContract:
@@ -422,12 +424,27 @@ class TestInputContract:
             pytest.param(["trace"], "4611686018427387904 0\n", id="huge-n-trace"),
             pytest.param(["gen", "path", "4611686018427387904"], "", id="huge-n-gen"),
             pytest.param(["compose", "pendant"], "[" * 200000, id="deep-json"),
+            pytest.param(["compose", "boundary", "--spec", MISSING], "", id="missing-spec"),
         ],
     )
     def test_malformed_input_exits_2(self, cli, argv, stdin):
         code, out, err = cli(argv, stdin)
         assert code == 2 and out == ""
         assert err.startswith("error:") and err.count("\n") == 1
+
+    def test_file_matches_stdin(self, cli, tmp_path):
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps({"base": C4, "x": [0, 1], "t": [2, 3]}))
+        graph = tmp_path / "g.txt"
+        graph.write_text(P4)
+        cases = ((["compose", "apex"], "--spec", spec), (["bounds"], "--graph", graph))
+        for argv, flag, path in cases:
+            _, piped, _ = cli(argv, path.read_text())
+            _, read, _ = cli([*argv, flag, str(path)])
+            docs = [doc_of(out) for out in (piped, read)]
+            for doc in docs:
+                del doc["runtime_ms"]
+            assert docs[0] == docs[1]
 
 
 # The pdzf modules each subcommand loads.  The command line always needs

@@ -231,9 +231,9 @@ class TestComposeBoundaryPd:
     def test_hypothesis_failures(self):
         g = generate("path", (6,))
         whole = g.vertex_set(range(6))
-        with pytest.raises(GraphError):
+        with pytest.raises(BoundHypothesisError):
             compose_boundary_pd(g, whole, g.vertex_set([0]), g.vertex_set([]))
-        with pytest.raises(GraphError):
+        with pytest.raises(BoundHypothesisError):
             compose_boundary_pd(g, g.vertex_set([0, 1]), g.vertex_set([2]), g.vertex_set([5]))
         with pytest.raises(BoundHypothesisError):
             compose_boundary_pd(g, g.vertex_set([0, 1, 2]), g.vertex_set([0]), g.vertex_set([5]))

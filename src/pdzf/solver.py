@@ -139,18 +139,6 @@ def minimum_solutions(
     raise AssertionError("unreachable: the full vertex set is always feasible")
 
 
-def _hits(rows: list[int], within: int, n: int) -> list[int]:
-    """How many rows each vertex of the mask *within* meets."""
-    hits = [0] * n
-    for r in rows:
-        r &= within
-        while r:
-            low = r & -r
-            r ^= low
-            hits[low.bit_length() - 1] += 1
-    return hits
-
-
 def _cover_exact(n: int, degs: tuple[int, ...], rows: list[int], forced: int) -> tuple[int, int]:
     """Exact minimum set cover: smallest superset of *forced* meeting every row.
 
@@ -159,19 +147,42 @@ def _cover_exact(n: int, degs: tuple[int, ...], rows: list[int], forced: int) ->
     (rows hit descending, then degree descending, then id), banning each
     tried vertex from later siblings so no solution is enumerated twice;
     pairwise-disjoint uncovered rows give the lower bound.
+
+    The rows that *forced* misses are numbered in their given order, a set
+    of them is an int mask over those numbers, and ``col[v]`` is the mask
+    of the rows that contain v.  A hit count is one ``bit_count`` of
+    ``col[v] & rows`` and picking v leaves ``rows & ~col[v]``.  Rows are
+    still visited in index order and every tie breaks as it would over a
+    list of rows, so the masks change neither the search tree, nor its
+    node count, nor the cover.  A row that is empty or names a vertex
+    outside ``range(n)`` raises ``CertificationError``: no pick meets an
+    empty row, and every fort cut and closed neighbourhood is a nonempty
+    set of the graph's vertices.
     """
+    full = (1 << n) - 1
+    for r in rows:
+        if not 0 < r <= full:
+            raise CertificationError(f"cover row {r:#x} is empty or leaves 0..{n - 1}")
     active = [r for r in rows if r & forced == 0]
-    best, left = forced, active
+    col = [0] * n
+    for i, r in enumerate(active):
+        ibit = 1 << i
+        while r:
+            low = r & -r
+            r ^= low
+            col[low.bit_length() - 1] |= ibit
+    every = (1 << len(active)) - 1
+    best, left = forced, every
     while left:
-        hits = _hits(left, (1 << n) - 1, n)
+        hits = [(c & left).bit_count() for c in col]
         # index() takes the lowest id among the most-hit vertices.
         best_v = hits.index(max(hits))
         best |= 1 << best_v
-        left = [r for r in left if r >> best_v & 1 == 0]
+        left &= ~col[best_v]
     best_size = best.bit_count()
     nodes = 0
 
-    def dfs(chosen: int, size: int, todo: list[int], banned: int) -> None:
+    def dfs(chosen: int, size: int, todo: int, banned: int) -> None:
         nonlocal best, best_size, nodes
         nodes += 1
         if not todo:
@@ -179,26 +190,29 @@ def _cover_exact(n: int, degs: tuple[int, ...], rows: list[int], forced: int) ->
                 best, best_size = chosen, size
             return
         pick = 0
+        pick_size = 0
         taken = 0
         lower = 0
-        for r in todo:
-            a = r & ~banned
+        t = todo
+        while t:
+            low = t & -t
+            t ^= low
+            a = active[low.bit_length() - 1] & ~banned
             if a == 0:
                 return
-            if not pick or a.bit_count() < pick.bit_count():
-                pick = a
+            if not pick or a.bit_count() < pick_size:
+                pick, pick_size = a, a.bit_count()
             if a & taken == 0:
                 taken |= a
                 lower += 1
         if size + lower >= best_size:
             return
-        hits = _hits(todo, pick, n)
-        for v in sorted(bits(pick), key=lambda v: (-hits[v], -degs[v], v)):
+        for v in sorted(bits(pick), key=lambda v: (-(col[v] & todo).bit_count(), -degs[v], v)):
             vbit = 1 << v
-            dfs(chosen | vbit, size + 1, [r for r in todo if r & vbit == 0], banned)
+            dfs(chosen | vbit, size + 1, todo & ~col[v], banned)
             banned |= vbit
 
-    dfs(forced, forced.bit_count(), active, 0)
+    dfs(forced, forced.bit_count(), every, 0)
     return best, nodes
 
 

@@ -11,8 +11,11 @@ import hashlib
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pdzf import (
+    CertificationError,
     Graph,
     GraphError,
     GuardExceededError,
@@ -667,3 +670,72 @@ def test_answers_are_byte_identical():
         )
     digest = hashlib.sha256(repr(answers).encode()).hexdigest()
     assert digest == ANSWERS_SHA256
+
+
+# The sha256 of the master's (cover, node count) on seeded row sets.  The
+# node count pins the whole search tree: branching order, pruning and the
+# greedy start.  Up to 100 rows, so masks over row indices pass 64 bits.
+COVER_SHA256 = "ece393fb8df05b8fcf9573dcd4a45bdce40379cafc5e11099f536768a7fcdd5a"
+
+
+def _cover_instance(rng):
+    n = rng.randint(1, 64)
+    width = rng.choice((2, 4, 8, 24))
+    rows = []
+    for _ in range(rng.randint(0, 100)):
+        # A duplicate, a superset or a subset of an earlier row, or a new one.
+        roll = rng.random()
+        if rows and roll < 0.15:
+            rows.append(rng.choice(rows))
+        elif rows and roll < 0.3:
+            rows.append(rng.choice(rows) | 1 << rng.randrange(n))
+        elif rows and roll < 0.4:
+            r = rng.choice(rows)
+            rows.append(r & ~(r & -r) or r)
+        else:
+            rows.append(sum(1 << v for v in rng.sample(range(n), rng.randint(1, min(n, width)))))
+    forced = sum(1 << v for v in rng.sample(range(n), rng.randint(0, min(n, 3))))
+    degs = tuple(rng.randint(0, n) for _ in range(n))
+    return n, degs, rows, forced
+
+
+def test_cover_exact_is_byte_identical():
+    rng = random.Random(13)
+    answers = [_cover_exact(*_cover_instance(rng)) for _ in range(300)]
+    digest = hashlib.sha256(repr(answers).encode()).hexdigest()
+    assert digest == COVER_SHA256
+
+
+@pytest.mark.parametrize(
+    "n, rows, forced",
+    [(3, [0b011, 0], 0), (3, [0], 0b111), (2, [0b100], 0), (2, [0b101], 0), (1, [0b1, 0b10], 0b1)],
+)
+def test_cover_exact_rejects_an_empty_or_out_of_range_row(n, rows, forced):
+    # On an empty row the greedy start would pick vertex 0 forever.
+    with pytest.raises(CertificationError, match="is empty or leaves"):
+        _cover_exact(n, (1,) * n, rows, forced)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.integers(min_value=1, max_value=10).flatmap(
+        lambda n: st.tuples(
+            st.just(n),
+            st.lists(st.integers(min_value=1, max_value=(1 << n) - 1), max_size=12),
+            st.integers(min_value=0, max_value=(1 << n) - 1),
+            st.lists(st.integers(min_value=0, max_value=n), min_size=n, max_size=n),
+        )
+    )
+)
+def test_cover_exact_matches_brute_force(case):
+    n, rows, forced, degs = case
+    mask, nodes = _cover_exact(n, tuple(degs), rows, forced)
+    assert mask & forced == forced
+    assert all(r & mask for r in rows)
+    assert nodes >= 1
+    smallest = min(
+        m.bit_count()
+        for m in range(1 << n)
+        if m & forced == forced and all(r & m for r in rows)
+    )
+    assert mask.bit_count() == smallest

@@ -94,7 +94,7 @@ def restricted_pd_third(graph: Graph, x: VertexSet | None = None) -> BoundReport
     """
     if graph.n < 3 or not graph.is_connected():
         raise BoundHypothesisError("the graph must be connected with at least 3 vertices")
-    x = graph._coerce(x if x is not None else ())
+    x = graph._coerce(x)
     lhs = restricted_pd_number(graph, x).value
     return _report("restricted_pd_third", lhs, (graph.n + 2 * len(x)) // 3)
 
@@ -277,7 +277,7 @@ def degree_sum(
     """
     if graph.n == 0 or any(graph.degree(v) == 0 for v in graph.vertices()):
         raise BoundHypothesisError("the graph must have no isolated vertices")
-    x = graph._coerce(x if x is not None else ())
+    x = graph._coerce(x)
     if s is None:
         s = restricted_pd_number(graph, x).witness
     else:
@@ -305,7 +305,7 @@ def delta_ratio(graph: Graph, x: VertexSet | None = None) -> BoundReport:
     """ceil(Z(G; X) / max degree) <= gamma_P(G; X), for max degree >= 1."""
     if graph.n == 0 or graph.max_degree() < 1:
         raise BoundHypothesisError("the graph must have an edge")
-    x = graph._coerce(x if x is not None else ())
+    x = graph._coerce(x)
     z = restricted_zf_number(graph, x).value
     lhs = -(-z // graph.max_degree())
     rhs = restricted_pd_number(graph, x).value
@@ -318,7 +318,7 @@ def neighborhood_blowup(graph: Graph, x: VertexSet | None = None) -> BoundReport
     The closed neighborhood of a power dominating set through X forces
     the graph and contains N[X].
     """
-    x = graph._coerce(x if x is not None else ())
+    x = graph._coerce(x)
     lhs = restricted_zf_number(graph, graph.closed_neighborhood(x)).value
     rhs = (graph.max_degree() + 1) * restricted_pd_number(graph, x).value
     return _report("neighborhood_blowup", lhs, rhs)
@@ -342,7 +342,7 @@ def audit(graph: Graph, x: VertexSet | None = None) -> list[BoundReport]:
     through the set-cover master, so a graph above ``DEFAULT_CG_GUARD``
     vertices raises GuardExceededError.
     """
-    x = graph._coerce(x if x is not None else ())
+    x = graph._coerce(x)
     evaluations = (
         lambda: domination_half(graph),
         lambda: pd_third(graph),

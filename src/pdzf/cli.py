@@ -1,7 +1,9 @@
 """Command line surface with stable JSON output.
 
-Every subcommand except ``gen`` reads an edge list from standard input
-(or ``--graph FILE``) and writes one JSON object to standard output:
+Every subcommand except ``gen`` and ``compose`` reads an edge list from
+standard input (or ``--graph FILE``); ``main`` reads it, and the ``--x``
+set over it, once before the handler runs.  ``compose`` reads its graphs
+from a JSON spec.  Each of these writes one JSON object to standard output:
 schema marker, command echo, a 12-hex digest of the canonical edge list,
 the per-command payload, and a trailing ``runtime_ms`` field, the only
 one allowed to vary between identical runs.  ``gen`` writes edge-list
@@ -60,10 +62,6 @@ def _read(path: str | None) -> str:
     return sys.stdin.read()
 
 
-def _load_graph(args: argparse.Namespace) -> Graph:
-    return from_edge_list(_read(getattr(args, "graph", None)))
-
-
 def _digest(graph: Graph) -> str:
     return hashlib.sha256(to_edge_list(graph).encode()).hexdigest()[:12]
 
@@ -90,7 +88,7 @@ def _result_payload(res) -> dict:
     }
 
 
-def _cmd_solve(args: argparse.Namespace) -> tuple[Graph, dict]:
+def _cmd_solve(args: argparse.Namespace, graph: Graph, x: VertexSet) -> dict:
     from .solver import (
         brute_force_min,
         reduction_pd_number,
@@ -98,11 +96,9 @@ def _cmd_solve(args: argparse.Namespace) -> tuple[Graph, dict]:
         restricted_zf_number,
     )
 
-    graph = _load_graph(args)
     method = args.method or _METHODS[args.mode][0]
     if method not in _METHODS[args.mode]:
         raise ValueError(f"method {method!r} does not apply to mode {args.mode!r}")
-    x = _parse_set(args.x, graph)
     if method == "oracle":
         res = brute_force_min(graph, x, args.mode, **_guard())
     elif method == "reduction":
@@ -111,16 +107,14 @@ def _cmd_solve(args: argparse.Namespace) -> tuple[Graph, dict]:
         res = restricted_pd_number(graph, x)
     else:
         res = restricted_zf_number(graph, x)
-    return graph, {"parameter": args.mode, **_result_payload(res)}
+    return {"parameter": args.mode, **_result_payload(res)}
 
 
-def _cmd_trace(args: argparse.Namespace) -> tuple[Graph, dict]:
+def _cmd_trace(args: argparse.Namespace, graph: Graph, x: VertexSet) -> dict:
     from .propagation import pd_observe, zf_closure
 
-    graph = _load_graph(args)
-    x = _parse_set(args.x, graph)
     trace = pd_observe(graph, x) if args.mode == "pd" else zf_closure(graph, x)
-    return graph, {
+    return {
         "mode": args.mode,
         "initial": sorted(trace.initial),
         "dominated": sorted(trace.dominated),
@@ -130,22 +124,20 @@ def _cmd_trace(args: argparse.Namespace) -> tuple[Graph, dict]:
     }
 
 
-def _cmd_forts(args: argparse.Namespace) -> tuple[Graph, dict]:
+def _cmd_forts(args: argparse.Namespace, graph: Graph, x: VertexSet) -> dict:
     from .forts import enumerate_forts, fort_from_failed_set, minimum_violated_fort
 
-    graph = _load_graph(args)
     if args.x is None:
         forts = enumerate_forts(graph, **_guard())
-        return graph, {"count": len(forts), "forts": [sorted(f.members) for f in forts]}
-    x = _parse_set(args.x, graph)
+        return {"count": len(forts), "forts": [sorted(f.members) for f in forts]}
     forbidden = fort_from_failed_set(graph, x, args.mode).members.complement()
     fort = minimum_violated_fort(graph, forbidden)
-    return graph, {"mode": args.mode, "fort": sorted(fort.members), "size": len(fort.members)}
+    return {"mode": args.mode, "fort": sorted(fort.members), "size": len(fort.members)}
 
 
 def _cmd_gen(args: argparse.Namespace) -> None:
     if args.family == "apex_over":
-        base = _load_graph(args)
+        base = from_edge_list(_read(None))
         graph = apex_over(base, _parse_set(args.t, base))
         labels = {}
     else:
@@ -158,14 +150,13 @@ def _cmd_gen(args: argparse.Namespace) -> None:
     sys.stdout.write(to_edge_list(graph))
 
 
-def _cmd_tree_pd(args: argparse.Namespace) -> tuple[Graph, dict]:
+def _cmd_tree_pd(args: argparse.Namespace, tree: Graph, _: VertexSet) -> dict:
     from .decomposition import tree_pd_parallel, tree_split
 
-    tree = _load_graph(args)
     vertex = None if args.split == "auto" else int(args.split)
     if tree.n <= 2 and vertex is None:
         res = tree_pd_parallel(tree)
-        return tree, {**_result_payload(res), "split": None, "parts": []}
+        return {**_result_payload(res), "split": None, "parts": []}
     split = tree_split(tree, vertex)
     parts = [
         {
@@ -177,7 +168,7 @@ def _cmd_tree_pd(args: argparse.Namespace) -> tuple[Graph, dict]:
         }
         for part in split.parts
     ]
-    return tree, {**_result_payload(split.result()), "split": split.vertex, "parts": parts}
+    return {**_result_payload(split.result()), "split": split.vertex, "parts": parts}
 
 
 # The vertex-list fields each compose kind requires, besides "base", named
@@ -262,13 +253,11 @@ def _cmd_compose(args: argparse.Namespace) -> tuple[Graph, dict]:
     return base, payload
 
 
-def _cmd_bounds(args: argparse.Namespace) -> tuple[Graph, dict]:
+def _cmd_bounds(args: argparse.Namespace, graph: Graph, x: VertexSet) -> dict:
     from .bounds import audit
 
-    graph = _load_graph(args)
-    x = _parse_set(args.x, graph)
     reports = audit(graph, x)
-    return graph, {
+    return {
         "bounds": [
             {
                 "name": r.name,
@@ -283,29 +272,24 @@ def _cmd_bounds(args: argparse.Namespace) -> tuple[Graph, dict]:
     }
 
 
-def _cmd_terminals(args: argparse.Namespace) -> tuple[Graph, dict]:
-    graph = _load_graph(args)
-    x = _parse_set(args.x, graph)
+def _cmd_terminals(args: argparse.Namespace, graph: Graph, x: VertexSet) -> dict:
     sets = enumerate_terminal_sets(graph, x, args.cap)
     ordered = sorted(sorted(s) for s in sets)
-    return graph, {"count": len(ordered), "terminal_sets": ordered}
+    return {"count": len(ordered), "terminal_sets": ordered}
 
 
-def _cmd_spread(args: argparse.Namespace) -> tuple[Graph, dict]:
+def _cmd_spread(args: argparse.Namespace, graph: Graph, _: VertexSet) -> dict:
     from .solver import spread_and_single
 
-    graph = _load_graph(args)
     s, res = spread_and_single(graph, args.vertex)
-    return graph, {"vertex": args.vertex, "spread": s, **_result_payload(res)}
+    return {"vertex": args.vertex, "spread": s, **_result_payload(res)}
 
 
-def _cmd_check(args: argparse.Namespace) -> tuple[Graph, dict]:
-    graph = _load_graph(args)
+def _cmd_check(args: argparse.Namespace, graph: Graph, x: VertexSet) -> dict:
     witness = _parse_set(args.witness, graph)
-    x = _parse_set(args.x, graph)
     feasible = final_mask(graph.adj, witness.mask, args.mode) == (1 << graph.n) - 1
     contains_x = x.issubset(witness)
-    return graph, {
+    return {
         "mode": args.mode,
         "size": len(witness),
         "feasible": feasible,
@@ -403,7 +387,11 @@ def main(argv: list[str] | None = None) -> int:
         if args.handler is _cmd_gen:
             _cmd_gen(args)
             return 0
-        graph, payload = args.handler(args)
+        if "graph" in args:
+            graph = from_edge_list(_read(args.graph))
+            payload = args.handler(args, graph, _parse_set(getattr(args, "x", None), graph))
+        else:  # compose reads its graphs from the spec
+            graph, payload = args.handler(args)
     except GuardExceededError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

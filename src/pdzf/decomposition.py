@@ -474,7 +474,8 @@ def check_apex_terminal(
     X must be a minimum forcing set of the base graph.  The report
     carries the two one-way implications: T inside one terminal set
     guarantees X still forces with the apex added, and X forcing the
-    apexed graph guarantees T meets some terminal set.
+    apexed graph guarantees T meets some terminal set.  The guard bounds
+    the base graph; the apex does not count against it.
     """
     x = graph._coerce(x)
     t = graph._coerce(t)
@@ -487,7 +488,7 @@ def check_apex_terminal(
     apexed = apex_over(graph, t)
     lifted = VertexSet(apexed.n, x)
     forces_apex = is_zero_forcing_set(apexed, lifted)
-    result = restricted_zf_number(apexed, lifted)
+    result = restricted_zf_number(apexed, lifted, guard=apexed.n)
     if covered and not (forces_apex and result.value == len(x)):
         raise CertificationError("T lies in one terminal set, yet X fails on the apexed graph")
     if forces_apex and not touched:

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import InfeasibleError, check_guard
-from .graph import Graph, VertexSet, bits
+from .graph import Graph, VertexSet, bits, supersets
 from .propagation import final_mask
 
 __all__ = [
@@ -151,6 +151,5 @@ def enumerate_forts(graph: Graph, guard: int = DEFAULT_FORT_GUARD) -> list[Fort]
     """All forts, by exhaustive subset check; ordered by size then members."""
     check_guard("fort enumeration", guard, graph.n)
     adj, n = graph.adj, graph.n
-    found = [m for m in range(1, 1 << n) if _is_fort_mask(adj, n, m)]
-    found.sort(key=lambda m: (m.bit_count(), tuple(bits(m))))
+    found = (m for size in supersets(0, n) for m in size if _is_fort_mask(adj, n, m))
     return [Fort(VertexSet.from_mask(n, m)) for m in found]

@@ -8,6 +8,7 @@ public surface deals in :class:`VertexSet` objects and plain ints.
 from __future__ import annotations
 
 from collections import defaultdict
+from itertools import combinations
 from typing import IO, Iterable, Iterator
 
 from .errors import (
@@ -29,6 +30,17 @@ def bits(mask: int) -> Iterator[int]:
         low = mask & -mask
         yield low.bit_length() - 1
         mask ^= low
+
+
+def supersets(mask: int, n: int) -> Iterator[Iterator[int]]:
+    """The supersets of *mask* within ``range(n)``, one size at a time.
+
+    Yields one iterator per number of added vertices, from none to all;
+    each gives its supersets in lexicographic order of the added vertices.
+    """
+    free = [1 << v for v in range(n) if not mask >> v & 1]
+    for size in range(len(free) + 1):
+        yield (mask | sum(combo) for combo in combinations(free, size))
 
 
 def dominated_mask(adj: tuple[int, ...], mask: int) -> int:
@@ -239,12 +251,13 @@ class Graph:
     def full_set(self) -> VertexSet:
         return VertexSet.full(self.n)
 
-    def _coerce(self, s: VertexSet | Iterable[int]) -> VertexSet:
+    def _coerce(self, s: VertexSet | Iterable[int] | None) -> VertexSet:
+        """*s* as a set over this graph's vertices; None is the empty set."""
         if isinstance(s, VertexSet):
             if s.n != self.n:
                 raise GraphError(f"vertex set over {s.n} used with graph on {self.n}")
             return s
-        return VertexSet(self.n, s)
+        return VertexSet(self.n, () if s is None else s)
 
     def closed_neighborhood(self, s: VertexSet | Iterable[int]) -> VertexSet:
         return VertexSet.from_mask(self.n, dominated_mask(self.adj, self._coerce(s).mask))

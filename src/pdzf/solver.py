@@ -23,11 +23,11 @@ the whole graph.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import chain, combinations
 
 from .constructions import attach_leaves
 from .errors import CertificationError, GraphError, check_guard
-from .graph import Graph, VertexSet, bits
+from .graph import Graph, VertexSet, bits, supersets
 from .forts import Fort, minimum_violated_fort
 from .propagation import certify, dominated_mask
 from .propagation import final_mask as _final_mask
@@ -77,7 +77,7 @@ def _prepare(graph: Graph, x, mode: str) -> VertexSet:
         raise ValueError(f"mode must be one of {_MODES}, got {mode!r}")
     if graph.n == 0:
         raise GraphError("parameters of the empty graph are undefined")
-    return graph._coerce(x if x is not None else ())
+    return graph._coerce(x)
 
 
 def brute_force_min(
@@ -95,23 +95,16 @@ def brute_force_min(
     """
     x = _prepare(graph, x, mode)
     check_guard("oracle", guard, graph.n)
-    adj = graph.adj
-    full = (1 << graph.n) - 1
-    free = [v for v in range(graph.n) if v not in x]
-    tried = 0
-    for extra in range(len(free) + 1):
-        for combo in combinations(free, extra):
-            tried += 1
-            mask = x.mask
-            for v in combo:
-                mask |= 1 << v
-            if _final_mask(adj, mask, mode) == full:
-                return SolveResult(
-                    value=mask.bit_count(),
-                    witness=VertexSet.from_mask(graph.n, mask),
-                    method="oracle",
-                    nodes=tried,
-                )
+    adj, full = graph.adj, (1 << graph.n) - 1
+    candidates = chain.from_iterable(supersets(x.mask, graph.n))
+    for tried, mask in enumerate(candidates, 1):
+        if _final_mask(adj, mask, mode) == full:
+            return SolveResult(
+                value=mask.bit_count(),
+                witness=VertexSet.from_mask(graph.n, mask),
+                method="oracle",
+                nodes=tried,
+            )
     raise AssertionError("unreachable: the full vertex set is always feasible")
 
 
@@ -123,17 +116,9 @@ def minimum_solutions(
     """Every minimum feasible superset of X, in lexicographic order."""
     x = _prepare(graph, x, mode)
     check_guard("exhaustive", DEFAULT_EXHAUSTIVE_GUARD, graph.n)
-    adj = graph.adj
-    full = (1 << graph.n) - 1
-    free = [v for v in range(graph.n) if v not in x]
-    for extra in range(len(free) + 1):
-        out = []
-        for combo in combinations(free, extra):
-            mask = x.mask
-            for v in combo:
-                mask |= 1 << v
-            if _final_mask(adj, mask, mode) == full:
-                out.append(VertexSet.from_mask(graph.n, mask))
+    adj, full = graph.adj, (1 << graph.n) - 1
+    for size in supersets(x.mask, graph.n):
+        out = [VertexSet.from_mask(graph.n, m) for m in size if _final_mask(adj, m, mode) == full]
         if out:
             return out
     raise AssertionError("unreachable: the full vertex set is always feasible")
@@ -224,6 +209,14 @@ def _pool_add(pool: list[int], row: int) -> None:
     pool.append(row)
 
 
+def _guarded_components(graph: Graph, guard: int) -> list[VertexSet]:
+    """The components of *graph*, once the guard has admitted the largest."""
+    comps = graph.components()
+    where = "graph" if len(comps) == 1 else "a component"
+    check_guard("constraint generation", guard, max(len(c) for c in comps), where)
+    return comps
+
+
 def _cg(
     graph: Graph,
     x: VertexSet,
@@ -232,9 +225,7 @@ def _cg(
     guard: int = DEFAULT_CG_GUARD,
     cut_log: list | None = None,
 ) -> SolveResult:
-    comps = graph.components()
-    where = "graph" if len(comps) == 1 else "a component"
-    check_guard("constraint generation", guard, max(len(c) for c in comps), where)
+    comps = _guarded_components(graph, guard)
     adj = graph.adj
     n = graph.n
     full = (1 << n) - 1
@@ -336,11 +327,13 @@ def reduction_pd_number(graph: Graph, x: VertexSet | None = None) -> SolveResult
     mandatory, so the unrestricted minimum of the attachment equals the
     restricted minimum of the base graph and its witnesses avoid the new
     leaves (two leaves per vertex already preserve the value; the third
-    pins the witness).
+    pins the witness).  The guard bounds the components of the graph
+    passed in; the attached leaves do not count against it.
     """
     x = _prepare(graph, x, "pd")
+    _guarded_components(graph, DEFAULT_CG_GUARD)
     grown = attach_leaves(graph, x, 3).graph
-    res = _cg(grown, VertexSet(grown.n), "pd", True)
+    res = _cg(grown, VertexSet(grown.n), "pd", True, grown.n)  # a guard of grown.n never stops
     # A witness that used an attached leaf loses it here and fails the size check.
     witness = VertexSet.from_mask(graph.n, res.witness.mask & (1 << graph.n) - 1)
     certify(graph, witness, x, "pd", res.value)

@@ -96,6 +96,19 @@ class TestSolve:
             code, out, _ = cli(argv, forest)
             assert code == 0 and doc_of(out)["value"] == 3
 
+    def test_reduction_guard_counts_the_input(self, cli):
+        # The reduction's attached leaves grow path 60 past 64 vertices.
+        _, path60, _ = cli(["gen", "path", "60"])
+        values = set()
+        for method in ("cg", "reduction"):
+            code, out, _ = cli(["solve", "--method", method, "--x", "0,1"], path60)
+            assert code == 0
+            values.add(doc_of(out)["value"])
+        assert values == {2}
+        _, path65, _ = cli(["gen", "path", "65"])
+        code, _, err = cli(["solve", "--method", "reduction", "--x", "0,1"], path65)
+        assert code == 3 and "graph has 65 vertices" in err
+
     def test_malformed_input(self, cli):
         code, _, err = cli(["solve"], "3 1\n0 99\n")
         assert code == 2
@@ -242,6 +255,16 @@ class TestCompose:
         doc = doc_of(out)
         assert doc["covered"] and doc["touched"] and doc["forces_apex"]
         assert doc["solved_value"] == 2
+
+    def test_apex_guard_counts_the_base(self, cli):
+        _, path64, _ = cli(["gen", "path", "64"])
+        code, out, _ = cli(["compose", "apex"], json.dumps({"base": path64, "x": [0], "t": [63]}))
+        assert code == 0
+        doc = doc_of(out)
+        assert (doc["apex"], doc["covered"], doc["solved_value"]) == (64, True, 1)
+        _, path65, _ = cli(["gen", "path", "65"])
+        code, _, err = cli(["compose", "apex"], json.dumps({"base": path65, "x": [0], "t": [64]}))
+        assert code == 3 and "graph has 65 vertices" in err
 
     def test_error_paths(self, cli):
         bad = {"base": P3, "x": [0], "attachments": [{"graph": "2 1\n0 1\n", "root": 0, "at": 1}]}

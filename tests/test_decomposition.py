@@ -8,6 +8,7 @@ from pdzf import (
     BoundHypothesisError,
     Graph,
     GraphError,
+    GuardExceededError,
     NotATreeError,
     brute_force_min,
     centroid,
@@ -323,6 +324,16 @@ class TestCheckApexTerminal:
             if report.forces_apex:
                 assert report.touched
             assert report.result.value >= len(x)
+
+    def test_guard_counts_the_base_only(self):
+        # The apexed graph of a 64-vertex base has 65 vertices; only the
+        # base counts against the guard.
+        g = generate("path", (64,))
+        report = check_apex_terminal(g, g.vertex_set([0]), g.vertex_set([63]))
+        assert report.apex == 64 and report.covered and report.result.value == 1
+        g = generate("path", (65,))
+        with pytest.raises(GuardExceededError, match="graph has 65 vertices"):
+            check_apex_terminal(g, g.vertex_set([0]), g.vertex_set([64]))
 
     def test_validation(self):
         g = generate("cycle", (4,))

@@ -117,6 +117,7 @@ class TestGraph:
         g = Graph(5, [(0, 1), (1, 2), (3, 4)])
         assert set(g.closed_neighborhood([1])) == {0, 1, 2}
         assert set(g.closed_neighborhood(g.vertex_set([0, 3]))) == {0, 1, 3, 4}
+        assert g.closed_neighborhood(None) == g.vertex_set()  # None is the empty set
         with pytest.raises(GraphError):
             g.closed_neighborhood(VertexSet(4, [0]))
 

@@ -24,6 +24,7 @@ from pdzf import (
     brute_force_min,
     component_sum_pd,
     domination_half,
+    enumerate_forts,
     generate,
     is_fort,
     is_power_dominating_set,
@@ -472,6 +473,16 @@ class TestConstraintGeneration:
             assert restricted_zf_number(g, x).value == zf_expected
             assert restricted_zf_number(g, x, min_forts=True).value == zf_expected
 
+    def test_reduction_guard_counts_the_callers_vertices(self):
+        # The three leaves on each vertex of X grow path 60 to 66 vertices;
+        # only the 60 the caller passed count against the guard.
+        g = generate("path", (60,))
+        x = g.vertex_set([0, 1])
+        assert reduction_pd_number(g, x).value == restricted_pd_number(g, x).value == 2
+        g = generate("path", (65,))
+        with pytest.raises(GuardExceededError, match="graph has 65 vertices"):
+            reduction_pd_number(g, g.vertex_set([0, 1]))
+
     def test_reduction_without_x_attaches_nothing(self):
         # With empty X the attachment is the graph itself, so the
         # reduction runs the minimum-fort solve of the graph unchanged.
@@ -617,7 +628,7 @@ class TestKRestricted:
 # The sha256 of every answer below on a seeded set of small instances.
 # Any change to a value, a witness, a cut count or a node count changes
 # it; a change that means to do so re-records it and says why.
-ANSWERS_SHA256 = "b967efca831badb5cb142052906184fa5a2783d6b90d762d6a79f6ce36892876"
+ANSWERS_SHA256 = "98ec02f2c409d3cf0352f88daddd8afae99834b1892daa2281b32c357b15de7d"
 
 
 def _answer(res):
@@ -643,6 +654,7 @@ def test_answers_are_byte_identical():
             restricted_pd_number(g, x, min_forts=True),
             restricted_zf_number(g, x, min_forts=True),
             reduction_pd_number(g, x),
+            *(brute_force_min(g, x, m) for m in ("pd", "zf", "dom")),
         ]
         if tree:
             solves.append(tree_pd_parallel(g))
@@ -651,6 +663,7 @@ def test_answers_are_byte_identical():
             answers.append(
                 [[s.members() for s in minimum_solutions(g, x, m)] for m in ("pd", "zf", "dom")]
             )
+            answers.append([f.members.members() for f in enumerate_forts(g)])
         rows = [a | 1 << v for v, a in enumerate(g.adj)]
         answers.append(_cover_exact(n, tuple(a.bit_count() for a in g.adj), rows, x.mask))
         if all(g.adj):

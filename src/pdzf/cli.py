@@ -2,8 +2,8 @@
 
 Every subcommand except ``gen`` and ``compose`` reads an edge list from
 standard input (or ``--graph FILE``); ``main`` reads it, and the ``--x``
-set over it, once before the handler runs.  ``compose`` reads its graphs
-from a JSON spec.  Each of these writes one JSON object to standard output:
+set over it where the subcommand takes one, once before the handler
+runs.  ``compose`` reads its graphs from a JSON spec.  Each of these writes one JSON object to standard output:
 schema marker, command echo, a 12-hex digest of the canonical edge list,
 the per-command payload, and a trailing ``runtime_ms`` field, the only
 one allowed to vary between identical runs.  ``gen`` writes edge-list
@@ -150,7 +150,7 @@ def _cmd_gen(args: argparse.Namespace) -> None:
     sys.stdout.write(to_edge_list(graph))
 
 
-def _cmd_tree_pd(args: argparse.Namespace, tree: Graph, _: VertexSet) -> dict:
+def _cmd_tree_pd(args: argparse.Namespace, tree: Graph) -> dict:
     from .decomposition import tree_pd_parallel, tree_split
 
     vertex = None if args.split == "auto" else int(args.split)
@@ -278,7 +278,7 @@ def _cmd_terminals(args: argparse.Namespace, graph: Graph, x: VertexSet) -> dict
     return {"count": len(ordered), "terminal_sets": ordered}
 
 
-def _cmd_spread(args: argparse.Namespace, graph: Graph, _: VertexSet) -> dict:
+def _cmd_spread(args: argparse.Namespace, graph: Graph) -> dict:
     from .solver import spread_and_single
 
     s, res = spread_and_single(graph, args.vertex)
@@ -389,7 +389,8 @@ def main(argv: list[str] | None = None) -> int:
             return 0
         if "graph" in args:
             graph = from_edge_list(_read(args.graph))
-            payload = args.handler(args, graph, _parse_set(getattr(args, "x", None), graph))
+            x = (_parse_set(args.x, graph),) if "x" in args else ()
+            payload = args.handler(args, graph, *x)
         else:  # compose reads its graphs from the spec
             graph, payload = args.handler(args)
     except GuardExceededError as exc:

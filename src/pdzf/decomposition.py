@@ -475,7 +475,9 @@ def check_apex_terminal(
     carries the two one-way implications: T inside one terminal set
     guarantees X still forces with the apex added, and X forcing the
     apexed graph guarantees T meets some terminal set.  The guard bounds
-    the base graph; the apex does not count against it.
+    each component of the apexed graph without its apex: the components
+    of the base that T meets join into one, and together they must fit
+    the guard.
     """
     x = graph._coerce(x)
     t = graph._coerce(t)
@@ -488,7 +490,7 @@ def check_apex_terminal(
     apexed = apex_over(graph, t)
     lifted = VertexSet(apexed.n, x)
     forces_apex = is_zero_forcing_set(apexed, lifted)
-    result = restricted_zf_number(apexed, lifted, guard=apexed.n)
+    result = restricted_zf_number(apexed, lifted, guard=DEFAULT_CG_GUARD + 1)  # the apex is free
     if covered and not (forces_apex and result.value == len(x)):
         raise CertificationError("T lies in one terminal set, yet X fails on the apexed graph")
     if forces_apex and not touched:

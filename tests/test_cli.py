@@ -265,6 +265,10 @@ class TestCompose:
         _, path65, _ = cli(["gen", "path", "65"])
         code, _, err = cli(["compose", "apex"], json.dumps({"base": path65, "x": [0], "t": [64]}))
         assert code == 3 and "graph has 65 vertices" in err
+        two_paths = "80 78\n" + "".join(f"{i} {i + 1}\n" for i in range(79) if i != 39)
+        spec = {"base": two_paths, "x": [0, 40], "t": [20, 60]}
+        code, _, err = cli(["compose", "apex"], json.dumps(spec))
+        assert code == 3 and "graph has 81 vertices" in err
 
     def test_error_paths(self, cli):
         bad = {"base": P3, "x": [0], "attachments": [{"graph": "2 1\n0 1\n", "root": 0, "at": 1}]}

@@ -334,6 +334,11 @@ class TestCheckApexTerminal:
         g = generate("path", (65,))
         with pytest.raises(GuardExceededError, match="graph has 65 vertices"):
             check_apex_terminal(g, g.vertex_set([0]), g.vertex_set([64]))
+        # The apex joins the components T meets, and together they count:
+        # two 40-vertex paths under one apex make an 81-vertex component.
+        g = Graph(80, [(i, i + 1) for i in range(79) if i != 39])
+        with pytest.raises(GuardExceededError, match="graph has 81 vertices"):
+            check_apex_terminal(g, g.vertex_set([0, 40]), g.vertex_set([20, 60]))
 
     def test_validation(self):
         g = generate("cycle", (4,))

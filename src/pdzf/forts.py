@@ -151,5 +151,5 @@ def enumerate_forts(graph: Graph, guard: int = DEFAULT_FORT_GUARD) -> list[Fort]
     """All forts, by exhaustive subset check; ordered by size then members."""
     check_guard("fort enumeration", guard, graph.n)
     adj, n = graph.adj, graph.n
-    found = (m for size in supersets(0, n) for m in size if _is_fort_mask(adj, n, m))
+    found = (m for size in supersets(0, n) for m, _ in size if _is_fort_mask(adj, n, m))
     return [Fort(VertexSet.from_mask(n, m)) for m in found]

@@ -12,6 +12,14 @@ stops when it is empty, a trace round scans the vertices the previous
 round colored and their blue neighbors, and a terminal-set state scans
 its parent's forcers, the new blue vertex and its blue neighbors.
 
+Each final mask is a closure: cl(A | B) = cl(cl(A) | B).  So the final
+mask of S + v follows from cl, the final mask of S, by one more pass
+(``final_step``).  The pass starts from cl plus the vertices v adds, which
+are v for zero forcing and the new part of N[v] for power domination,
+and its worklist holds only those vertices and their blue neighbors:
+every other vertex of cl had no force in cl and keeps its white
+neighbors.  Domination has no forcing, and its step is cl | N[v].
+
 Traces are round-based: each round applies every force that was legal at
 the start of the round, in increasing forcer id, skipping forces whose
 target was already colored earlier in the same round.  The domination
@@ -21,6 +29,7 @@ step of power domination is round 0.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
 from .errors import CertificationError, GuardExceededError, InconsistentTraceError, InfeasibleError
 from .graph import Graph, VertexSet, bits, dominated_mask
@@ -41,9 +50,14 @@ __all__ = [
 DEFAULT_TERMINAL_CAP = 10**6
 
 
-def closure_mask(adj: tuple[int, ...], blue: int) -> int:
-    """Zero-forcing closure of the blue bitmask, one worklist pass."""
-    todo = blue
+def closure_mask(adj: tuple[int, ...], blue: int, todo: int | None = None) -> int:
+    """Zero-forcing closure of the blue bitmask, one worklist pass.
+
+    The worklist starts as *todo*, by default every blue vertex; a caller
+    may pass fewer only when no other blue vertex has a force.
+    """
+    if todo is None:
+        todo = blue
     while todo:
         low = todo & -todo
         todo ^= low
@@ -68,6 +82,34 @@ def final_mask(adj: tuple[int, ...], mask: int, mode: str) -> int:
         return closure_mask(adj, mask)
     if mode == "dom":
         return dominated_mask(adj, mask)
+    raise ValueError(f"mode must be 'pd', 'zf' or 'dom', got {mode!r}")
+
+
+def final_step(adj: tuple[int, ...], mode: str) -> Callable[[int, int], int]:
+    """``step(cl, v)``: the final bitmask of S + v in *mode*, given cl, the
+    final bitmask of S.  Any other mode raises ValueError."""
+    if mode == "dom":
+        return lambda cl, v: cl | adj[v] | 1 << v
+    if mode == "zf":
+
+        def zf_step(cl: int, v: int) -> int:
+            bit = 1 << v
+            if cl & bit:
+                return cl
+            blue = cl | bit
+            return closure_mask(adj, blue, (adj[v] | bit) & blue)
+
+        return zf_step
+    if mode == "pd":
+
+        def pd_step(cl: int, v: int) -> int:
+            new = (adj[v] | 1 << v) & ~cl
+            if not new:
+                return cl
+            blue = cl | new
+            return closure_mask(adj, blue, dominated_mask(adj, new) & blue)
+
+        return pd_step
     raise ValueError(f"mode must be 'pd', 'zf' or 'dom', got {mode!r}")
 
 

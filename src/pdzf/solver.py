@@ -29,7 +29,7 @@ from .constructions import attach_leaves
 from .errors import CertificationError, GraphError, check_guard
 from .graph import Graph, VertexSet, bits, supersets
 from .forts import Fort, minimum_violated_fort
-from .propagation import certify, dominated_mask
+from .propagation import certify, dominated_mask, final_step
 from .propagation import final_mask as _final_mask
 
 __all__ = [
@@ -56,7 +56,7 @@ DEFAULT_CG_GUARD = 64
 _MODES = ("pd", "zf", "dom")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SolveResult:
     """An exact value with a feasible witness of that size containing X.
 
@@ -80,6 +80,12 @@ def _prepare(graph: Graph, x, mode: str) -> VertexSet:
     return graph._coerce(x)
 
 
+def _candidates(graph: Graph, x: VertexSet, mode: str):
+    """The supersets of X with their final masks, as ``supersets`` orders them."""
+    adj = graph.adj
+    return supersets(x.mask, graph.n, final_step(adj, mode), _final_mask(adj, x.mask, mode))
+
+
 def brute_force_min(
     graph: Graph,
     x: VertexSet | None = None,
@@ -95,17 +101,16 @@ def brute_force_min(
     """
     x = _prepare(graph, x, mode)
     check_guard("oracle", guard, graph.n)
-    adj, full = graph.adj, (1 << graph.n) - 1
-    candidates = chain.from_iterable(supersets(x.mask, graph.n))
-    for tried, mask in enumerate(candidates, 1):
-        if _final_mask(adj, mask, mode) == full:
+    full = (1 << graph.n) - 1
+    for tried, (mask, final) in enumerate(chain.from_iterable(_candidates(graph, x, mode)), 1):
+        if final == full:
             return SolveResult(
                 value=mask.bit_count(),
                 witness=VertexSet.from_mask(graph.n, mask),
                 method="oracle",
                 nodes=tried,
             )
-    raise AssertionError("unreachable: the full vertex set is always feasible")
+    raise CertificationError("no superset of X propagates, not even the vertex set")
 
 
 def minimum_solutions(
@@ -116,12 +121,12 @@ def minimum_solutions(
     """Every minimum feasible superset of X, in lexicographic order."""
     x = _prepare(graph, x, mode)
     check_guard("exhaustive", DEFAULT_EXHAUSTIVE_GUARD, graph.n)
-    adj, full = graph.adj, (1 << graph.n) - 1
-    for size in supersets(x.mask, graph.n):
-        out = [VertexSet.from_mask(graph.n, m) for m in size if _final_mask(adj, m, mode) == full]
+    full = (1 << graph.n) - 1
+    for size in _candidates(graph, x, mode):
+        out = [VertexSet.from_mask(graph.n, m) for m, final in size if final == full]
         if out:
             return out
-    raise AssertionError("unreachable: the full vertex set is always feasible")
+    raise CertificationError("no superset of X propagates, not even the vertex set")
 
 
 def _cover_exact(n: int, degs: tuple[int, ...], rows: list[int], forced: int) -> tuple[int, int]:

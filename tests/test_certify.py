@@ -128,3 +128,16 @@ def test_cli_reports_a_failed_certificate_as_one_error_line(monkeypatch, capsys)
     out, err = capsys.readouterr()
     assert code == 2 and out == ""
     assert err == "error: witness has size 1, the value is 2\n"
+
+
+def test_oracle_that_finds_no_feasible_superset_raises(monkeypatch, capsys):
+    # A step that never grows a closure leaves even the vertex set short,
+    # which only a bug can do; the CLI reports it as one error line.
+    monkeypatch.setattr(solver, "final_step", lambda adj, mode: lambda cl, v: cl)
+    with pytest.raises(CertificationError, match="no superset of X propagates"):
+        solver.minimum_solutions(generate("path", (4,)), None, "zf")
+    monkeypatch.setattr(sys, "stdin", io.StringIO("4 3\n0 1\n1 2\n2 3\n"))
+    code = main(["solve", "--method", "oracle", "--mode", "zf"])
+    out, err = capsys.readouterr()
+    assert code == 2 and out == ""
+    assert err == "error: no superset of X propagates, not even the vertex set\n"

@@ -21,6 +21,7 @@ from pdzf import (
     from_edge_list,
     to_edge_list,
 )
+from pdzf.graph import supersets
 
 from util import random_connected_graph, random_graph
 
@@ -173,6 +174,30 @@ class TestGraph:
     def test_pickle_round_trip(self):
         g = Graph(4, [(0, 2), (1, 3)])
         assert pickle.loads(pickle.dumps(g)) == g
+
+
+class TestSupersets:
+    def test_by_size_then_lexicographic(self):
+        sizes = [[mask for mask, _ in size] for size in supersets(0b0100, 4)]
+        assert sizes == [
+            [0b0100],
+            [0b0101, 0b0110, 0b1100],
+            [0b0111, 0b1101, 0b1110],
+            [0b1111],
+        ]
+
+    def test_states_without_a_step_stay_put(self):
+        assert [pair for size in supersets(0b11, 2, state="s") for pair in size] == [(0b11, "s")]
+        assert [[*size] for size in supersets(0, 0)] == [[(0, None)]]
+
+    def test_step_sees_each_prefix_then_its_vertex(self):
+        # With a step that records the added vertices, a superset's state
+        # lists its added vertices in increasing order.
+        walk = supersets(0b1001, 6, lambda st, v: (*st, v), ())
+        for size in walk:
+            for mask, added in size:
+                assert mask == 0b1001 | sum(1 << v for v in added)
+                assert list(added) == sorted(added)
 
 
 class TestEdgeList:

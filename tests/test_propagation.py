@@ -1,6 +1,7 @@
 """Propagation processes: closures, traces, chains, terminal sets."""
 
 import random
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
@@ -23,7 +24,8 @@ from pdzf import (
     pd_observe,
     zf_closure,
 )
-from pdzf.propagation import closure_mask, dominated_mask, final_mask
+from pdzf.graph import supersets
+from pdzf.propagation import closure_mask, dominated_mask, final_mask, final_step
 
 from util import (
     random_connected_graph,
@@ -179,12 +181,36 @@ class TestTracesMatchTheReference:
         assert len(pd_observe(g, g.vertex_set([1500])).final) == 3000
 
 
+class TestSupersetWalk:
+    """The oracle's walk steps each superset's final mask from its prefix's."""
+
+    @pytest.mark.parametrize("mode", ["pd", "zf", "dom"])
+    def test_states_are_final_masks_in_combinations_order(self, mode):
+        rng = random.Random(15)
+        for _ in range(60):
+            n = rng.randint(1, 10)
+            g = random_graph(n, rng, rng.choice((0.15, 0.3, 0.5)))
+            x = g.vertex_set(random_subset(n, rng, rng.randint(0, min(n, 2)))).mask
+            walk = supersets(x, n, final_step(g.adj, mode), final_mask(g.adj, x, mode))
+            got = [pair for size in walk for pair in size]
+            free = [v for v in range(n) if not x >> v & 1]
+            order = [
+                x | sum(1 << v for v in combo)
+                for k in range(len(free) + 1)
+                for combo in combinations(free, k)
+            ]
+            assert [mask for mask, _ in got] == order
+            assert got == [(mask, final_mask(g.adj, mask, mode)) for mask in order]
+
+
 class TestModeDispatch:
     @pytest.mark.parametrize("mode", ["ZF", "xx"])
     def test_unknown_mode_raises(self, mode):
         g = generate("path", (5,))
         with pytest.raises(ValueError, match="mode must be"):
             final_mask(g.adj, g.vertex_set([1, 3]).mask, mode)
+        with pytest.raises(ValueError, match="mode must be"):
+            final_step(g.adj, mode)
         with pytest.raises(ValueError, match="mode must be"):
             certify(g, g.vertex_set([1, 3]), (), mode)
 

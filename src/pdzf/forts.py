@@ -11,9 +11,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import InfeasibleError, check_guard
+from .errors import CertificationError, InfeasibleError, check_guard
 from .graph import Graph, VertexSet, bits, supersets
-from .propagation import final_mask
+from .propagation import closure_mask, final_mask
 
 __all__ = [
     "Fort",
@@ -117,15 +117,90 @@ def _lex_fort_of_size(adj: tuple[int, ...], cand_mask: int, size: int) -> int | 
     return descend(0, 0, 0, cand_mask)
 
 
+def _forest_min_fort(adj: tuple[int, ...], cand: int) -> int | None:
+    """Mask of the least-weight fort inside *cand*, 0 if there is none, or
+    None when the candidates and their neighbours do not induce a forest.
+
+    Only edges with a candidate end matter (a fort lies inside *cand*), so
+    the walk drops the others and roots every tree of what remains.  A
+    post-order pass keeps four totals per vertex v: A with v in the fort;
+    B0, B1, B2 with v outside and 0 (subtree still nonempty), 1 or at least
+    2 members among its children.  A child of a member is a member or
+    sees at least one member below it; a child of a non-member sees 0 or at
+    least 2; the other children stay empty, which costs nothing.
+
+    Vertex v weighs ``2**n - 2**(n-1-v)``, so the least total has the
+    fewest members and, among those, the lexicographically least; the
+    total decodes back to that mask.
+    """
+    n = len(adj)
+    inf = n + 1 << n  # above every feasible total
+    near = cand
+    for v in bits(cand):
+        near |= adj[v]
+    parent = [-1] * n
+    order: list[int] = []
+    seen = 0
+    for root in bits(near):
+        if seen >> root & 1:
+            continue
+        seen |= 1 << root
+        i = len(order)
+        order.append(root)
+        while i < len(order):
+            u = order[i]
+            i += 1
+            nbrs = adj[u] if cand >> u & 1 else adj[u] & cand
+            if parent[u] >= 0:
+                nbrs &= ~(1 << parent[u])
+            if nbrs & seen:
+                return None
+            seen |= nbrs
+            for w in bits(nbrs):
+                parent[w] = u
+                order.append(w)
+    in_sum = [0] * n  # sum over children of min(A, B1, B2)
+    out_one = [inf] * n  # min over children of min(B0, B2)
+    first = [inf] * n  # the two smallest child A
+    second = [inf] * n
+    best = inf
+    for v in reversed(order):
+        a = (1 << n) - (1 << n - 1 - v) + in_sum[v] if cand >> v & 1 else inf
+        b0, b1, b2 = out_one[v], first[v], first[v] + second[v]
+        p = parent[v]
+        if p < 0:
+            best = min(best, a, b0, b2)
+            continue
+        in_sum[p] += min(a, b1, b2)
+        out_one[p] = min(out_one[p], b0, b2)
+        if a < first[p]:
+            first[p], second[p] = a, first[p]
+        elif a < second[p]:
+            second[p] = a
+    if best >= inf:
+        return 0
+    low = ((best >> n) + 1 << n) - best  # the sum of 2**(n-1-v) over members
+    return int(format(low, f"0{n}b")[::-1], 2)
+
+
 def minimum_violated_fort(graph: Graph, forbidden: VertexSet) -> Fort:
     """Smallest fort avoiding *forbidden*, ties broken lexicographically.
 
-    Branch and bound over vertex inclusion: members are chosen in
-    increasing id order, outside vertices that currently see exactly one
-    member must be fixable by a later choice, and pairwise-disjoint fix
-    sets bound the number of additions still required.
+    When the candidates (the vertices outside *forbidden*) and their
+    neighbours induce a forest, as on every tree, one linear dynamic
+    program finds it (``_forest_min_fort``).  Its answer is certified: a
+    nonempty fort inside the candidates, or, when it finds none, a
+    forbidden set whose forcing closure is every vertex, since a set meets
+    every fort exactly when it forces the graph.
 
-    Two shortcuts keep the answer the one a plain scan would return.
+    Otherwise, when a cycle touches the candidates, a branch and bound
+    over vertex inclusion runs for each size 1, 2, ...: members are chosen
+    in increasing id order, outside vertices that currently see exactly
+    one member must be fixable by a later choice, and pairwise-disjoint
+    fix sets bound the number of additions still required.
+
+    Two shortcuts in that search keep the answer the one a plain scan
+    would return.
     Only neighbours of the partial fort are checked: a vertex with no
     neighbour in it sees no member, so skipping it leaves the pending
     fixes unchanged.  And a branch is entered only if every fix set has
@@ -135,16 +210,28 @@ def minimum_violated_fort(graph: Graph, forbidden: VertexSet) -> Fort:
     the order, so the first fort found is the same.
     """
     forbidden = graph._coerce(forbidden)
-    cand_mask = (1 << graph.n) - 1 & ~forbidden.mask
-    # Each size restarts from the root on purpose.  One branch and bound
-    # with an incumbent found the same forts on the separations of 60 small
-    # random trees but took about 5x as long: until its first small fort it
-    # descends into large partial forts that a fixed size prunes at once.
-    for size in range(1, cand_mask.bit_count() + 1):
-        found = _lex_fort_of_size(graph.adj, cand_mask, size)
-        if found is not None:
-            return Fort(VertexSet.from_mask(graph.n, found))
-    raise InfeasibleError("no fort avoids the forbidden set")
+    adj, n = graph.adj, graph.n
+    full = (1 << n) - 1
+    cand_mask = full & ~forbidden.mask
+    found = _forest_min_fort(adj, cand_mask)
+    if found is None:
+        # The fallback restarts each size from the root on purpose.  One
+        # branch and bound with an incumbent found the same forts on the
+        # separations of 60 small random trees but took about 5x as long:
+        # until its first small fort it descends into large partial forts
+        # that a fixed size prunes at once.
+        for size in range(1, cand_mask.bit_count() + 1):
+            found = _lex_fort_of_size(adj, cand_mask, size)
+            if found is not None:
+                return Fort(VertexSet.from_mask(n, found))
+        raise InfeasibleError("no fort avoids the forbidden set")
+    if found == 0:
+        if closure_mask(adj, forbidden.mask) != full:
+            raise CertificationError("a fort avoids the forbidden set, but none was found")
+        raise InfeasibleError("no fort avoids the forbidden set")
+    if found & ~cand_mask or not _is_fort_mask(adj, n, found):
+        raise CertificationError(f"mask {found:#x} is not a fort avoiding the forbidden set")
+    return Fort(VertexSet.from_mask(n, found))
 
 
 def enumerate_forts(graph: Graph, guard: int = DEFAULT_FORT_GUARD) -> list[Fort]:

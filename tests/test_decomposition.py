@@ -12,6 +12,7 @@ from pdzf import (
     NotATreeError,
     brute_force_min,
     centroid,
+    certify,
     check_apex_terminal,
     compose_boundary_pd,
     compose_pendant_zf,
@@ -133,6 +134,13 @@ class TestTreePdParallel:
             res = tree_pd_parallel(t)
             assert res.value == brute_force_min(t, None, "pd").value
             assert is_power_dominating_set(t, res.witness)
+
+    def test_long_path(self):
+        # Each branch solve separates minimum forts of up to about n/4 vertices.
+        t = generate("path", (127,))
+        res = tree_pd_parallel(t)
+        assert res.value == 1
+        certify(t, res.witness, t.vertex_set([]), "pd", 1)
 
     def test_rejects_non_trees(self):
         with pytest.raises(NotATreeError):

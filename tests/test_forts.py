@@ -6,6 +6,8 @@ from itertools import combinations
 import pytest
 
 from pdzf import (
+    CertificationError,
+    Graph,
     GuardExceededError,
     InfeasibleError,
     enumerate_forts,
@@ -16,6 +18,8 @@ from pdzf import (
     pd_observe,
     zf_closure,
 )
+from pdzf import forts
+from pdzf.forts import _forest_min_fort, _lex_fort_of_size
 
 from util import graph_sweep, random_connected_graph, random_subset, random_tree
 
@@ -32,6 +36,30 @@ def fort_by_definition(graph, members):
         if inside == 1:
             return False
     return True
+
+
+def size_loop_fort(graph, cand):
+    """The size-by-size search's fort inside *cand* as a mask, 0 if none."""
+    for size in range(1, cand.bit_count() + 1):
+        found = _lex_fort_of_size(graph.adj, cand, size)
+        if found is not None:
+            return found
+    return 0
+
+
+def enumeration_fort(graph, cand):
+    """The least fort inside *cand* by size, then members, as a mask; 0 if none."""
+    inside = [f.members for f in enumerate_forts(graph) if f.members.mask & ~cand == 0]
+    return min(inside, key=lambda f: (len(f), tuple(f))).mask if inside else 0
+
+
+def random_forest(n, rng):
+    """Random forest on shuffled ids: each vertex joins an earlier one or
+    starts a new tree, so isolated vertices occur."""
+    ids = list(range(n))
+    rng.shuffle(ids)
+    edges = [(ids[v], ids[rng.randrange(v)]) for v in range(1, n) if rng.random() < 0.8]
+    return Graph(n, edges)
 
 
 class TestIsFort:
@@ -144,3 +172,62 @@ class TestMinimumViolatedFort:
         g = generate("path", (5,))
         fort = minimum_violated_fort(g, g.vertex_set([]))
         assert fort.members.members() == (0, 2, 4)
+
+
+# A triangle 0-1-2; vertex 2 has the leaves 3 and 4, and vertex 1 the
+# path 1-5-6-7.
+TRIANGLE_WITH_TAILS = Graph(8, [(0, 1), (1, 2), (0, 2), (2, 3), (2, 4), (1, 5), (5, 6), (6, 7)])
+
+
+class TestForestMinFort:
+    def test_random_forests_match_size_loop_and_enumeration(self):
+        rng = random.Random(17)
+        for k in range(150):
+            n = rng.randint(1, 16 if k % 10 == 0 else 11)
+            g = random_forest(n, rng)
+            cand = g.vertex_set(random_subset(n, rng, rng.randint(0, n))).mask
+            found = _forest_min_fort(g.adj, cand)
+            assert found == size_loop_fort(g, cand) == enumeration_fort(g, cand)
+
+    def test_cycle_among_forbidden_vertices_keeps_the_dp(self):
+        g = TRIANGLE_WITH_TAILS
+        forbidden = g.vertex_set([0, 1, 2])
+        cand = forbidden.complement().mask
+        found = _forest_min_fort(g.adj, cand)
+        assert found == size_loop_fort(g, cand) == enumeration_fort(g, cand) == 0b11000
+        assert minimum_violated_fort(g, forbidden).members.mask == found
+
+    def test_cycle_touching_the_candidates_falls_back(self):
+        # With two triangle vertices free every triangle edge has a
+        # candidate end, so the walk meets the cycle.
+        g = TRIANGLE_WITH_TAILS
+        for forbidden in ([0], [1], []):
+            cand = g.vertex_set(forbidden).complement().mask
+            assert _forest_min_fort(g.adj, cand) is None
+            found = minimum_violated_fort(g, g.vertex_set(forbidden)).members.mask
+            assert found == size_loop_fort(g, cand) == enumeration_fort(g, cand)
+
+    def test_long_path(self):
+        n = 1000
+        g = generate("path", (n,))
+        assert _forest_min_fort(g.adj, (1 << n) - 1) is not None
+        fort = minimum_violated_fort(g, g.vertex_set([]))
+        assert fort.members.members() == (0, *range(1, n, 2))
+        assert len(fort.members) == n // 2 + 1
+
+    def test_no_candidate_or_no_fort_is_infeasible(self):
+        g = generate("path", (3,))
+        with pytest.raises(InfeasibleError):
+            minimum_violated_fort(g, g.full_set())
+        # {0} alone leaves vertex 1 seeing one member; no fort fits.
+        assert _forest_min_fort(g.adj, 0b001) == 0
+        with pytest.raises(InfeasibleError):
+            minimum_violated_fort(g, g.vertex_set([1, 2]))
+
+    def test_a_wrong_answer_raises(self, monkeypatch):
+        g = generate("path", (5,))
+        none = g.vertex_set([])
+        for wrong in (0b00001, 0b100000, 0):
+            monkeypatch.setattr(forts, "_forest_min_fort", lambda adj, cand, m=wrong: m)
+            with pytest.raises(CertificationError):
+                minimum_violated_fort(g, none)

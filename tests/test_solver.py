@@ -22,6 +22,7 @@ from pdzf import (
     SolveResult,
     VertexSet,
     brute_force_min,
+    certify,
     component_sum_pd,
     domination_half,
     enumerate_forts,
@@ -448,6 +449,14 @@ class TestConstraintGeneration:
         with pytest.raises(GuardExceededError):
             restricted_pd_number(generate("path", (65,)))
         assert restricted_pd_number(generate("path", (65,)), guard=65).value == 1
+
+    def test_minimum_forts_on_long_paths(self):
+        # One cut settles a path: a minimum fort of about n/2 vertices.
+        for n in (64, 200):
+            g = generate("path", (n,))
+            res = restricted_pd_number(g, min_forts=True, guard=n)
+            assert (res.value, res.cuts_added) == (1, 1)
+            certify(g, res.witness, g.vertex_set([]), "pd", 1)
 
     def test_guard_bounds_each_component(self):
         three_paths = [(i, i + 1) for i in range(119) if i % 40 != 39]

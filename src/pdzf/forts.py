@@ -188,16 +188,15 @@ def minimum_violated_fort(graph: Graph, forbidden: VertexSet) -> Fort:
 
     When the candidates (the vertices outside *forbidden*) and their
     neighbours induce a forest, as on every tree, one linear dynamic
-    program finds it (``_forest_min_fort``).  Its answer is certified: a
-    nonempty fort inside the candidates, or, when it finds none, a
+    program finds it (``_forest_min_fort``).  Otherwise, when a cycle
+    touches the candidates, a branch and bound over vertex inclusion runs
+    for each size 1, 2, ...: members are chosen in increasing id order,
+    outside vertices that currently see exactly one member must be
+    fixable by a later choice, and pairwise-disjoint fix sets bound the
+    number of additions still required.  Either answer is certified: a
+    nonempty fort inside the candidates, or, when none is found, a
     forbidden set whose forcing closure is every vertex, since a set meets
     every fort exactly when it forces the graph.
-
-    Otherwise, when a cycle touches the candidates, a branch and bound
-    over vertex inclusion runs for each size 1, 2, ...: members are chosen
-    in increasing id order, outside vertices that currently see exactly
-    one member must be fixable by a later choice, and pairwise-disjoint
-    fix sets bound the number of additions still required.
 
     Two shortcuts in that search keep the answer the one a plain scan
     would return.
@@ -215,16 +214,13 @@ def minimum_violated_fort(graph: Graph, forbidden: VertexSet) -> Fort:
     cand_mask = full & ~forbidden.mask
     found = _forest_min_fort(adj, cand_mask)
     if found is None:
-        # The fallback restarts each size from the root on purpose.  One
-        # branch and bound with an incumbent found the same forts on the
-        # separations of 60 small random trees but took about 5x as long:
-        # until its first small fort it descends into large partial forts
-        # that a fixed size prunes at once.
-        for size in range(1, cand_mask.bit_count() + 1):
-            found = _lex_fort_of_size(adj, cand_mask, size)
-            if found is not None:
-                return Fort(VertexSet.from_mask(n, found))
-        raise InfeasibleError("no fort avoids the forbidden set")
+        # Only a cycle that touches the candidates gets here: from
+        # reduction_pd_number, ``pdzf forts --x`` and min_forts=True on a
+        # graph that is not a forest.  Each size restarts from the root, so
+        # a fixed size prunes large partial forts at once; one search with
+        # an incumbent would descend into them until its first small fort.
+        sizes = range(1, cand_mask.bit_count() + 1)
+        found = next((f for k in sizes if (f := _lex_fort_of_size(adj, cand_mask, k))), 0)
     if found == 0:
         if closure_mask(adj, forbidden.mask) != full:
             raise CertificationError("a fort avoids the forbidden set, but none was found")

@@ -39,48 +39,36 @@ def supersets(
     """The supersets of *mask* within ``range(n)``, one size at a time.
 
     Yields one iterator per number of added vertices, from none to all;
-    each gives its supersets in lexicographic order of the added vertices,
-    as pairs ``(superset, its state)``.  *mask* has state *state*, and
-    S + v, with v above every vertex added to S, has state ``step(state of
-    S, v)``; without *step* every state is *state*.  Each size is a depth
-    first walk over prefixes: a prefix is stepped once per size, and each
-    superset costs one step from its prefix.
+    each gives its supersets in lexicographic order of the added vertices
+    (the order of ``itertools.combinations``), as pairs ``(superset, its
+    state)``.  *mask* has state *state*, and S + v, with v above every
+    vertex added to S, has state ``step(state of S, v)``; without *step*
+    every state is *state*.  Each size is a depth first recursion: a prefix
+    is stepped once per size, and each superset costs one step from its
+    prefix.
     """
     if step is None:
         step = lambda st, v: st  # noqa: E731
     free = [v for v in range(n) if not mask >> v & 1]
     for size in range(len(free) + 1):
-        yield _walk(free, size, mask, state, step)
+        yield _walk(free, 0, size, mask, state, step)
 
 
-def _walk(free: list[int], size: int, mask: int, state: T, step) -> Iterator[tuple[int, T]]:
-    """The supersets of *mask* adding *size* vertices of *free*, in
-    lexicographic order, with their states."""
+def _walk(
+    free: list[int], start: int, size: int, mask: int, state: T, step
+) -> Iterator[tuple[int, T]]:
+    """The supersets of *mask* adding *size* vertices of ``free[start:]``,
+    in lexicographic order, with their states."""
     if size == 0:
         yield mask, state
-        return
-    last = size - 1
-    # pos[t] indexes the t-th added vertex in free; masks[t] and states[t]
-    # belong to the prefix of the first t added vertices.  When pos[j]
-    # moves, only the prefixes longer than j change.
-    pos = list(range(size))
-    masks, states = [mask] * size, [state] * size
-    j = 0
-    while True:
-        for t in range(j, last):
-            v = free[pos[t]]
-            masks[t + 1] = masks[t] | 1 << v
-            states[t + 1] = step(states[t], v)
-        prefix, st = masks[last], states[last]
-        for v in free[pos[last] :]:
-            yield prefix | 1 << v, step(st, v)
-        # Advance the rightmost prefix position that leaves room after it.
-        j = last - 1
-        while j >= 0 and pos[j] == len(free) - size + j:
-            j -= 1
-        if j < 0:
-            return
-        pos[j:] = range(pos[j] + 1, pos[j] + 1 + size - j)
+    elif size == 1:
+        for v in free[start:]:
+            yield mask | 1 << v, step(state, v)
+    else:
+        # The first added vertex leaves room for size - 1 after it.
+        for i in range(start, len(free) - size + 1):
+            v = free[i]
+            yield from _walk(free, i + 1, size - 1, mask | 1 << v, step(state, v), step)
 
 
 def dominated_mask(adj: tuple[int, ...], mask: int) -> int:

@@ -68,16 +68,11 @@ def closure_mask(adj: tuple[int, ...], blue: int, todo: int | None = None) -> in
     return blue
 
 
-def pd_final_mask(adj: tuple[int, ...], s_mask: int) -> int:
-    """Final observed bitmask of power domination from the bitmask of S."""
-    return closure_mask(adj, dominated_mask(adj, s_mask))
-
-
 def final_mask(adj: tuple[int, ...], mask: int, mode: str) -> int:
     """Final bitmask of one run from *mask*: observed ("pd"), forced ("zf")
     or dominated ("dom").  Any other mode raises ValueError."""
     if mode == "pd":
-        return pd_final_mask(adj, mask)
+        return closure_mask(adj, dominated_mask(adj, mask))
     if mode == "zf":
         return closure_mask(adj, mask)
     if mode == "dom":

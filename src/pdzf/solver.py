@@ -23,7 +23,7 @@ the whole graph.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain, combinations
+from itertools import chain, islice
 
 from .constructions import attach_leaves
 from .errors import CertificationError, GraphError, check_guard
@@ -401,7 +401,8 @@ def z_restricted_single(graph: Graph, v: int) -> SolveResult:
 def k_restricted_number(graph: Graph, k: int, mode: str = "pd") -> tuple[int, VertexSet]:
     """Worst restricted value over all X of size k, with a maximizing X.
 
-    Enumerates every X, so ``DEFAULT_ORACLE_GUARD`` applies to n.  Mode
+    Enumerates every X, so ``DEFAULT_ORACLE_GUARD`` applies to n; the
+    maximizing X is the first in ``itertools.combinations`` order.  Mode
     "dom" solves each X by enumeration (``brute_force_min``), "pd" and
     "zf" by constraint generation.
     """
@@ -411,8 +412,9 @@ def k_restricted_number(graph: Graph, k: int, mode: str = "pd") -> tuple[int, Ve
     check_guard("enumeration", DEFAULT_ORACLE_GUARD, graph.n)
     best = -1
     best_x = VertexSet(graph.n)
-    for combo in combinations(range(graph.n), k):
-        x = VertexSet(graph.n, combo)
+    # The walk's k-th size: the k-sets in combinations order.
+    for x_mask, _ in next(islice(supersets(0, graph.n), k, None)):
+        x = VertexSet.from_mask(graph.n, x_mask)
         if mode == "dom":
             value = brute_force_min(graph, x, "dom").value
         else:

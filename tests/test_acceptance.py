@@ -51,7 +51,7 @@ from pdzf import (
     z_restricted_single,
 )
 from pdzf.cli import main
-from pdzf.propagation import pd_final_mask
+from pdzf.propagation import final_mask
 from pdzf.graph import VertexSet
 
 from util import graph_sweep, random_connected_graph, random_subset, random_tree
@@ -330,7 +330,7 @@ def test_c6_fort_machinery():
     # Minimum violated fort equals the enumeration minimum on every class.
     for g in graph_sweep(8):
         forts = enumerate_forts(g)
-        final = pd_final_mask(g.adj, g.vertex_set(random_subset(g.n, rng, 1)).mask)
+        final = final_mask(g.adj, g.vertex_set(random_subset(g.n, rng, 1)).mask, "pd")
         for forbidden in (g.vertex_set(), VertexSet.from_mask(g.n, final)):
             allowed = [f for f in forts if f.members.isdisjoint(forbidden)]
             if allowed:

@@ -231,3 +231,19 @@ class TestForestMinFort:
             monkeypatch.setattr(forts, "_forest_min_fort", lambda adj, cand, m=wrong: m)
             with pytest.raises(CertificationError):
                 minimum_violated_fort(g, none)
+
+    def test_a_wrong_fallback_fort_raises(self, monkeypatch):
+        # On a cycle the forest program gives way to the size-by-size search.
+        g = generate("cycle", (6,))
+        assert _forest_min_fort(g.adj, (1 << 6) - 1) is None
+        # {0} is no fort: vertices 1 and 5 each see exactly one member.
+        monkeypatch.setattr(forts, "_lex_fort_of_size", lambda adj, cand, size: 0b1)
+        with pytest.raises(CertificationError):
+            minimum_violated_fort(g, g.vertex_set([]))
+
+    def test_a_missed_fallback_fort_raises(self, monkeypatch):
+        # Nothing is forbidden, so the whole cycle is a fort the search missed.
+        g = generate("cycle", (6,))
+        monkeypatch.setattr(forts, "_lex_fort_of_size", lambda adj, cand, size: None)
+        with pytest.raises(CertificationError):
+            minimum_violated_fort(g, g.vertex_set([]))

@@ -3,6 +3,7 @@
 import io
 import pickle
 import random
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
@@ -18,7 +19,9 @@ from pdzf import (
     SelfLoopError,
     VertexOutOfRangeError,
     VertexSet,
+    brute_force_min,
     from_edge_list,
+    k_restricted_number,
     to_edge_list,
 )
 from pdzf.graph import supersets
@@ -198,6 +201,40 @@ class TestSupersets:
             for mask, added in size:
                 assert mask == 0b1001 | sum(1 << v for v in added)
                 assert list(added) == sorted(added)
+
+    def test_each_prefix_is_stepped_once_per_size(self):
+        rng = random.Random(23)
+        for _ in range(40):
+            n = rng.randint(0, 10)
+            mask = rng.getrandbits(n)
+            free = [v for v in range(n) if not mask >> v & 1]
+            stepped = []
+
+            def step(added, v):
+                stepped.append((*added, v))
+                return stepped[-1]
+
+            for k, size in enumerate(supersets(mask, n, step, ())):
+                stepped.clear()
+                combos = list(combinations(free, k))
+                assert [m for m, _ in size] == [mask | sum(1 << v for v in c) for c in combos]
+                prefixes = {c[:j] for c in combos for j in range(1, k + 1)}
+                assert sorted(stepped) == sorted(prefixes)
+
+    @pytest.mark.parametrize("mode", ["pd", "zf", "dom"])
+    def test_k_restricted_maximizer_follows_combinations_order(self, mode):
+        # The first X of greatest value in combinations order, as a plain
+        # loop over combinations finds it.
+        rng = random.Random(29)
+        for _ in range(12):
+            g = random_graph(rng.randint(2, 8), rng)
+            for k in (1, 2):
+                best, best_x = -1, None
+                for combo in combinations(range(g.n), k):
+                    value = brute_force_min(g, g.vertex_set(combo), mode).value
+                    if value > best:
+                        best, best_x = value, g.vertex_set(combo)
+                assert k_restricted_number(g, k, mode) == (best, best_x)
 
 
 class TestEdgeList:

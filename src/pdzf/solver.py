@@ -129,6 +129,44 @@ def minimum_solutions(
     raise CertificationError("no superset of X propagates, not even the vertex set")
 
 
+class _RowPool(list):
+    """Set-cover rows with their transpose: ``col[v]`` masks the indices of
+    the rows that contain v.  Each row is checked once, as it enters."""
+
+    def __init__(self, n: int, rows=()) -> None:
+        super().__init__()
+        self.col = [0] * n
+        for row in rows:
+            self._push(self._checked(row))
+
+    def _checked(self, row: int) -> int:
+        n = len(self.col)
+        if not 0 < row < 1 << n:
+            raise CertificationError(f"cover row {row:#x} is empty or leaves 0..{n - 1}")
+        return row
+
+    def _push(self, row: int) -> None:
+        ibit = 1 << len(self)
+        self.append(row)
+        col = self.col
+        while row:
+            low = row & -row
+            row ^= low
+            col[low.bit_length() - 1] |= ibit
+
+    def add_cut(self, row: int) -> None:
+        """Append a cut and drop the rows it implies, its supersets; the rows
+        after a dropped row move down one index, in ``col`` as in the list."""
+        self._checked(row)
+        if any(q & row == q for q in self):
+            raise CertificationError("cut already implied by the pool")
+        for i in reversed([i for i, q in enumerate(self) if row & q == row]):
+            del self[i]
+            low = (1 << i) - 1
+            self.col = [c & low | c >> 1 & ~low for c in self.col]
+        self._push(row)
+
+
 def _cover_exact(n: int, degs: tuple[int, ...], rows: list[int], forced: int) -> tuple[int, int]:
     """Exact minimum set cover: smallest superset of *forced* meeting every row.
 
@@ -138,30 +176,24 @@ def _cover_exact(n: int, degs: tuple[int, ...], rows: list[int], forced: int) ->
     tried vertex from later siblings so no solution is enumerated twice;
     pairwise-disjoint uncovered rows give the lower bound.
 
-    The rows that *forced* misses are numbered in their given order, a set
-    of them is an int mask over those numbers, and ``col[v]`` is the mask
-    of the rows that contain v.  A hit count is one ``bit_count`` of
-    ``col[v] & rows`` and picking v leaves ``rows & ~col[v]``.  Rows are
-    still visited in index order and every tie breaks as it would over a
-    list of rows, so the masks change neither the search tree, nor its
-    node count, nor the cover.  A row that is empty or names a vertex
-    outside ``range(n)`` raises ``CertificationError``: no pick meets an
-    empty row, and every fort cut and closed neighbourhood is a nonempty
-    set of the graph's vertices.
+    The rows are numbered in their given order (a ``_RowPool`` brings its
+    transpose, a plain list is transposed here), a set of them is an int
+    mask over those numbers, and ``col[v]`` is the mask of the rows that
+    contain v.  A hit count is one ``bit_count`` of ``col[v] & rows`` and
+    picking v leaves ``rows & ~col[v]``.  The rows that *forced* hits are
+    masked out, not renumbered, so rows are still visited in the same
+    order, every tie breaks the same way, and neither the search tree, its
+    node count nor the cover changes.  An empty row, or one naming a vertex
+    outside ``range(n)``, raises ``CertificationError``: no pick meets an
+    empty row, and every cut is a nonempty set of the graph's vertices.
     """
-    full = (1 << n) - 1
-    for r in rows:
-        if not 0 < r <= full:
-            raise CertificationError(f"cover row {r:#x} is empty or leaves 0..{n - 1}")
-    active = [r for r in rows if r & forced == 0]
-    col = [0] * n
-    for i, r in enumerate(active):
-        ibit = 1 << i
-        while r:
-            low = r & -r
-            r ^= low
-            col[low.bit_length() - 1] |= ibit
-    every = (1 << len(active)) - 1
+    if not isinstance(rows, _RowPool):
+        rows = _RowPool(n, rows)
+    col = rows.col
+    rows = list(rows)  # the search indexes it, and a plain list indexes faster
+    every = (1 << len(rows)) - 1
+    for v in bits(forced):
+        every &= ~col[v]
     best, left = forced, every
     while left:
         hits = [(c & left).bit_count() for c in col]
@@ -187,7 +219,7 @@ def _cover_exact(n: int, degs: tuple[int, ...], rows: list[int], forced: int) ->
         while t:
             low = t & -t
             t ^= low
-            a = active[low.bit_length() - 1] & ~banned
+            a = rows[low.bit_length() - 1] & ~banned
             if a == 0:
                 return
             if not pick or a.bit_count() < pick_size:
@@ -204,14 +236,6 @@ def _cover_exact(n: int, degs: tuple[int, ...], rows: list[int], forced: int) ->
 
     dfs(forced, forced.bit_count(), every, 0)
     return best, nodes
-
-
-def _pool_add(pool: list[int], row: int) -> None:
-    # Keep only minimal rows: a subset row implies every superset row.
-    if any(q & row == q for q in pool):
-        raise CertificationError("cut already implied by the pool")
-    pool[:] = [q for q in pool if row & q != row]
-    pool.append(row)
 
 
 def _guarded_components(graph: Graph, guard: int) -> list[VertexSet]:
@@ -242,7 +266,7 @@ def _cg(
     # one component propagates only inside it, and so does every fort cut.
     for comp in comps:
         cmask = comp.mask
-        pool: list[int] = []
+        pool = _RowPool(n)
         forced = s_mask = x.mask & cmask
         while True:
             final = _final_mask(adj, s_mask, mode)
@@ -257,7 +281,7 @@ def _cg(
                 cut_log.append(
                     (VertexSet.from_mask(n, s_mask), Fort(VertexSet.from_mask(n, fmask)))
                 )
-            _pool_add(pool, dominated_mask(adj, fmask) if mode == "pd" else fmask)
+            pool.add_cut(dominated_mask(adj, fmask) if mode == "pd" else fmask)
             cuts += 1
             s_mask, nodes = _cover_exact(n, degs, pool, forced)
             total_nodes += nodes

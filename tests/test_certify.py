@@ -54,7 +54,7 @@ class TestCertify:
 
     def test_implied_cut_rejected(self):
         with pytest.raises(CertificationError, match="cut already implied by the pool"):
-            solver._pool_add([0b011], 0b111)
+            solver._RowPool(3, [0b011]).add_cut(0b111)
 
 
 # Two broken answers that the bare asserts used to catch, and that slipped

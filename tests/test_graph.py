@@ -228,7 +228,7 @@ class TestSupersets:
         rng = random.Random(29)
         for _ in range(12):
             g = random_graph(rng.randint(2, 8), rng)
-            for k in (1, 2):
+            for k in (0, 1, 2):
                 best, best_x = -1, None
                 for combo in combinations(range(g.n), k):
                     value = brute_force_min(g, g.vertex_set(combo), mode).value

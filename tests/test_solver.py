@@ -618,6 +618,20 @@ class TestKRestricted:
             k_restricted_number(generate("path", (21,)), 1)
 
 
+@pytest.mark.parametrize(
+    "solve",
+    [
+        lambda g: brute_force_min(g, None, "ZF"),
+        lambda g: minimum_solutions(g, None, "ZF"),
+        lambda g: k_restricted_number(g, 1, "ZF"),
+    ],
+    ids=["brute_force_min", "minimum_solutions", "k_restricted_number"],
+)
+def test_an_unknown_mode_gets_the_dispatch_message(solve):
+    with pytest.raises(ValueError, match="mode must be 'pd', 'zf' or 'dom'"):
+        solve(generate("path", (4,)))
+
+
 # The sha256 of every answer below on a seeded set of small instances.
 # Any change to a value, a witness, a cut count or a node count changes
 # it; a change that means to do so re-records it and says why.

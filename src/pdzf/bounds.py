@@ -324,14 +324,16 @@ def neighborhood_blowup(graph: Graph, x: VertexSet | None = None) -> BoundReport
     return _report("neighborhood_blowup", lhs, rhs)
 
 
-AUDIT_BOUNDS = (
-    "domination_half",
-    "pd_third",
-    "restricted_pd_third",
-    "degree_sum",
-    "delta_ratio",
-    "neighborhood_blowup",
-)
+# The audited bounds in ``audit`` order, each called with (G, X).
+_AUDITED = {
+    "domination_half": lambda graph, x: domination_half(graph),
+    "pd_third": lambda graph, x: pd_third(graph),
+    "restricted_pd_third": restricted_pd_third,
+    "degree_sum": degree_sum,
+    "delta_ratio": delta_ratio,
+    "neighborhood_blowup": neighborhood_blowup,
+}
+AUDIT_BOUNDS = tuple(_AUDITED)
 
 
 def audit(graph: Graph, x: VertexSet | None = None) -> list[BoundReport]:
@@ -343,18 +345,10 @@ def audit(graph: Graph, x: VertexSet | None = None) -> list[BoundReport]:
     vertices raises GuardExceededError.
     """
     x = graph._coerce(x)
-    evaluations = (
-        lambda: domination_half(graph),
-        lambda: pd_third(graph),
-        lambda: restricted_pd_third(graph, x),
-        lambda: degree_sum(graph, x),
-        lambda: delta_ratio(graph, x),
-        lambda: neighborhood_blowup(graph, x),
-    )
     reports = []
-    for evaluate in evaluations:
+    for evaluate in _AUDITED.values():
         try:
-            reports.append(evaluate())
+            reports.append(evaluate(graph, x))
         except BoundHypothesisError:
             pass
     return reports

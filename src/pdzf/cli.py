@@ -151,13 +151,9 @@ def _cmd_gen(args: argparse.Namespace) -> None:
 
 
 def _cmd_tree_pd(args: argparse.Namespace, tree: Graph) -> dict:
-    from .decomposition import tree_pd_parallel, tree_split
+    from .decomposition import tree_split
 
-    vertex = None if args.split == "auto" else int(args.split)
-    if tree.n <= 2 and vertex is None:
-        res = tree_pd_parallel(tree)
-        return {**_result_payload(res), "split": None, "parts": []}
-    split = tree_split(tree, vertex)
+    split = tree_split(tree, None if args.split == "auto" else int(args.split))
     parts = [
         {
             "vertices": sorted(part.index.to_old),

@@ -25,6 +25,7 @@ from .propagation import is_zero_forcing_set
 from .solver import (
     DEFAULT_CG_GUARD,
     SolveResult,
+    _guarded_components,
     _lift_deleted,
     restricted_pd_number,
     restricted_zf_number,
@@ -80,10 +81,12 @@ class TreePart:
 
 @dataclass(frozen=True)
 class TreeSplit:
-    """A tree split at ``vertex``, with every branch solved three ways."""
+    """A tree split at ``vertex``, with every branch solved three ways.
+
+    A tree of at most two vertices is left unsplit: no vertex, no parts."""
 
     tree: Graph
-    vertex: int
+    vertex: int | None
     parts: tuple[TreePart, ...]
 
     @property
@@ -123,6 +126,8 @@ class TreeSplit:
         witness with the anchor dropped; the costly branches color the
         split vertex, which then serves the rest.
         """
+        if not self.parts:
+            return restricted_pd_number(self.tree)
         mask = 0
         cuts = 0
         nodes = 0
@@ -198,16 +203,20 @@ def tree_split(
     """Split a tree at a vertex and solve every branch three ways.
 
     The split vertex must have degree at least two; by default it is the
-    centroid.  Each branch yields three independent subproblems, all
-    solved in the calling process.  ``jobs`` has no effect; it must be
-    positive and is kept only so that existing callers that pass it keep
-    working.
+    centroid, and a tree of at most two vertices is left unsplit (within
+    ``guard``) for ``result`` to solve directly.  Each branch yields three
+    independent subproblems, all solved in the calling process.  ``jobs``
+    has no effect; it must be positive and is kept only so that existing
+    callers that pass it keep working.
     """
     if not tree.is_tree():
         raise NotATreeError("tree splitting needs a tree")
     if jobs < 1:
         raise ValueError(f"jobs must be positive, got {jobs}")
     if vertex is None:
+        if tree.n <= 2:
+            _guarded_components(tree, guard)
+            return TreeSplit(tree, None, ())
         vertex = centroid(tree)
     if tree.degree(vertex) < 2:
         raise GraphError("the split vertex must have degree at least 2")
@@ -231,15 +240,7 @@ def tree_pd_parallel(
     jobs: int = 1,
     guard: int = DEFAULT_CG_GUARD,
 ) -> SolveResult:
-    """Power domination number of a tree through a split at one vertex.
-
-    Trees too small to split are solved directly when no vertex is given.
-    ``jobs`` has no effect (see ``tree_split``).
-    """
-    if not tree.is_tree():
-        raise NotATreeError("the parallel tree algorithm needs a tree")
-    if tree.n <= 2 and vertex is None:
-        return restricted_pd_number(tree, None, guard=guard)
+    """Power domination number of a tree through ``tree_split``."""
     return tree_split(tree, vertex, jobs=jobs, guard=guard).result()
 
 

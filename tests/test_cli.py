@@ -8,10 +8,20 @@ import sys
 
 import pytest
 
-from pdzf import Graph, enumerate_forts, from_edge_list, generate, is_fort, solver, to_edge_list
+from pdzf import (
+    Graph,
+    enumerate_forts,
+    from_edge_list,
+    generate,
+    is_fort,
+    solver,
+    to_edge_list,
+    tree_pd_parallel,
+    tree_split,
+)
 from pdzf.cli import main
 
-from util import fresh_python
+from util import fresh_python, graph_sweep
 
 P3 = "3 2\n0 1\n1 2\n"
 P5 = "5 4\n0 1\n1 2\n2 3\n3 4\n"
@@ -218,10 +228,36 @@ class TestTreePd:
             assert err.startswith("error: ") and message in err and err.count("\n") == 1
 
     def test_errors(self, cli):
-        code, _, err = cli(["tree-pd"], C4)
-        assert code == 2 and "tree" in err
+        # A non-tree gets one message whatever its size.
+        for text in ("0 0\n", "2 0\n", "3 1\n0 1\n", C4):
+            code, out, err = cli(["tree-pd"], text)
+            assert (code, out, err) == (2, "", "error: tree splitting needs a tree\n")
         code, _, _ = cli(["tree-pd", "--split", "0"], P5)
         assert code == 2
+
+    def test_agrees_with_the_library_on_every_small_tree(self, cli):
+        trees = [g for g in graph_sweep(8) if g.is_tree()]
+        assert len(trees) == 48
+        for t in trees:
+            code, out, err = cli(["tree-pd"], to_edge_list(t))
+            assert code == 0, err
+            doc = doc_of(out)
+            res = tree_pd_parallel(t)
+            assert [doc[k] for k in ("value", "witness", "method", "cuts_added", "nodes")] == [
+                res.value, sorted(res.witness), res.method, res.cuts_added, res.nodes
+            ]
+            split = tree_split(t)
+            assert doc["split"] == split.vertex
+            assert doc["parts"] == [
+                {
+                    "vertices": sorted(p.index.to_old),
+                    "anchored": p.anchored.value,
+                    "free": p.free.value,
+                    "deleted": p.deleted.value,
+                    "role": p.role,
+                }
+                for p in split.parts
+            ]
 
 
 class TestCompose:

@@ -115,10 +115,31 @@ class TestTreeSplit:
             tree_split(generate("path", (4,)), 7)
 
 
+# Graphs that are not trees, among them the ones small enough to have
+# been solved directly: no vertex, two isolated vertices, an edge and an
+# isolated vertex, and a 4-cycle.
+NON_TREES = (Graph(0, []), Graph(2, []), Graph(3, [(0, 1)]), generate("cycle", (4,)))
+
+
 class TestTreePdParallel:
     def test_tiny_trees(self):
-        assert tree_pd_parallel(generate("path", (1,))).value == 1
-        assert tree_pd_parallel(generate("path", (2,))).value == 1
+        # Left unsplit and solved directly, as one constraint-generation solve.
+        for n in (1, 2):
+            t = generate("path", (n,))
+            split = tree_split(t)
+            assert split.vertex is None and split.parts == ()
+            assert split.value == 1
+            res = split.result()
+            assert res == tree_pd_parallel(t)
+            assert (res.value, res.witness.members(), res.cuts_added, res.nodes) == (1, (0,), 1, 1)
+            assert res.method == "constraint_generation"
+
+    def test_guard_bounds_a_tiny_tree(self):
+        t = generate("path", (2,))
+        for solve in (tree_split, tree_pd_parallel):
+            with pytest.raises(GuardExceededError, match="guard is 1, graph has 2 vertices"):
+                solve(t, guard=1)
+        assert tree_pd_parallel(generate("path", (1,)), guard=1).value == 1
 
     def test_explicit_vertex_on_a_tiny_tree_is_checked(self):
         for n in (1, 2):
@@ -143,8 +164,12 @@ class TestTreePdParallel:
         certify(t, res.witness, t.vertex_set([]), "pd", 1)
 
     def test_rejects_non_trees(self):
-        with pytest.raises(NotATreeError):
-            tree_pd_parallel(generate("complete", (4,)))
+        # Every entry to the tree route gives the same message.
+        for g in (*NON_TREES, generate("complete", (4,))):
+            for solve in (tree_split, tree_pd_parallel):
+                with pytest.raises(NotATreeError) as info:
+                    solve(g)
+                assert str(info.value) == "tree splitting needs a tree"
 
 
 class TestLeafClassify:

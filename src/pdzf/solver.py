@@ -188,6 +188,19 @@ def _cover_exact(n: int, degs: tuple[int, ...], rows: list[int], forced: int) ->
     k - 1 allowed members at the node, fewer than the picked row has.  This
     needs a fixed row set: a search whose pool grows while it runs must
     keep its own test for an emptied row.
+
+    ``nodes`` counts every node the search would enter, but a child that
+    cannot beat the incumbent is counted without being entered.  A node is
+    pruned on entry exactly when ``size + lower >= best_size``, and
+    ``lower >= 1`` whenever a row is uncovered, so a child of size
+    ``size + 1`` that leaves a row uncovered is pruned on entry once
+    ``size + 2 >= best_size``, and one that covers every row is a leaf.  At a
+    node with ``size + 2 == best_size`` (its own bound then reads 1) only a
+    child covering every row can win: every member of the picked row counts
+    as a node, and the first covering child in the sorted order becomes the
+    incumbent.  A covering child has the most hits, so it is the covering
+    member of highest degree, then lowest id; after it, every later child
+    is pruned.
     """
     if not isinstance(rows, _RowPool):
         rows = _RowPool(n, rows)
@@ -196,6 +209,8 @@ def _cover_exact(n: int, degs: tuple[int, ...], rows: list[int], forced: int) ->
     every = (1 << len(rows)) - 1
     for v in bits(forced):
         every &= ~col[v]
+    if not every:
+        return forced, 1  # the root is a leaf
     best, left = forced, every
     while left:
         hits = [(c & left).bit_count() for c in col]
@@ -209,10 +224,6 @@ def _cover_exact(n: int, degs: tuple[int, ...], rows: list[int], forced: int) ->
     def dfs(chosen: int, size: int, todo: int, banned: int) -> None:
         nonlocal best, best_size, nodes
         nodes += 1
-        if not todo:
-            if size < best_size:
-                best, best_size = chosen, size
-            return
         pick_size = n + 1
         taken = 0
         lower = 0
@@ -228,9 +239,22 @@ def _cover_exact(n: int, degs: tuple[int, ...], rows: list[int], forced: int) ->
                 lower += 1
         if size + lower >= best_size:
             return
+        if size + 2 == best_size:
+            nodes += pick_size
+            covering = [v for v in bits(pick) if col[v] & todo == todo]
+            if covering:
+                v = max(covering, key=lambda v: (degs[v], -v))
+                best, best_size = chosen | 1 << v, size + 1
+            return
         for v in sorted(bits(pick), key=lambda v: (-(col[v] & todo).bit_count(), -degs[v])):
             vbit = 1 << v
-            dfs(chosen | vbit, size + 1, todo & ~col[v], banned)
+            rest = todo & ~col[v]
+            if rest and size + 2 < best_size:
+                dfs(chosen | vbit, size + 1, rest, banned)
+            else:
+                nodes += 1
+                if not rest and size + 1 < best_size:
+                    best, best_size = chosen | vbit, size + 1
             banned |= vbit
 
     dfs(forced, forced.bit_count(), every, 0)
@@ -245,6 +269,14 @@ def _guarded_components(graph: Graph, guard: int) -> list[VertexSet]:
     return comps
 
 
+def _cg_parts(
+    graph: Graph, guard: int = DEFAULT_CG_GUARD
+) -> tuple[list[VertexSet], tuple[int, ...]]:
+    """What every constraint-generation solve of *graph* reads from it, whatever
+    X: its guarded components and its degrees."""
+    return _guarded_components(graph, guard), tuple(a.bit_count() for a in graph.adj)
+
+
 def _cg(
     graph: Graph,
     x: VertexSet,
@@ -252,12 +284,12 @@ def _cg(
     min_forts: bool,
     guard: int = DEFAULT_CG_GUARD,
     cut_log: list | None = None,
+    parts: tuple[list[VertexSet], tuple[int, ...]] | None = None,
 ) -> SolveResult:
-    comps = _guarded_components(graph, guard)
+    comps, degs = parts or _cg_parts(graph, guard)
     adj = graph.adj
     n = graph.n
     full = (1 << n) - 1
-    degs = tuple(a.bit_count() for a in adj)
     cuts = 0
     total_nodes = 0
     witness = 0
@@ -435,13 +467,14 @@ def k_restricted_number(graph: Graph, k: int, mode: str = "pd") -> tuple[int, Ve
     check_guard("enumeration", DEFAULT_ORACLE_GUARD, graph.n)
     best = -1
     best_x = VertexSet(graph.n)
+    parts = _cg_parts(graph)
     # The walk's k-th size: the k-sets in combinations order.
     for x_mask, _ in next(islice(supersets(0, graph.n), k, None)):
         x = VertexSet.from_mask(graph.n, x_mask)
         if mode == "dom":
             value = brute_force_min(graph, x, "dom").value
         else:
-            value = _cg(graph, x, mode, False).value
+            value = _cg(graph, x, mode, False, parts=parts).value
         if value > best:
             best, best_x = value, x
     return best, best_x

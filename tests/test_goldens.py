@@ -6,7 +6,9 @@ list of malformed requests (contract probes).  A request that exited 0
 must print exactly its golden JSON object apart from ``runtime_ms``;
 every other request must exit with its recorded code, print nothing on
 standard output and write one ``error:`` line.  The benchmark itself
-replays only the cases its seed picks; this test replays them all.
+replays only the cases its seed picks; this test replays them all.  The
+``master`` cases are replayed by CI's answer gate over several seeds, and
+a test here checks that those seeds pick every one of them.
 """
 
 import io
@@ -23,7 +25,12 @@ from util import SRC
 CORPUS = os.path.join(os.path.dirname(SRC), "perfbench", "corpus.json")
 
 with open(CORPUS, encoding="utf-8") as fh:
-    CLI = json.load(fh)["cli"]
+    CORPUS_DOC = json.load(fh)
+CLI = CORPUS_DOC["cli"]
+
+# The seeds of the ``master`` runs in the answer gate of
+# .github/workflows/tests.yml.
+MASTER_GATE_SEEDS = range(1, 12)
 
 CASES = [
     pytest.param(case, id=f"stratum{i}-{j}")
@@ -46,3 +53,12 @@ def test_cli_answer_matches_its_golden(case, monkeypatch, capsys):
         doc = json.loads(out)
         assert isinstance(doc.pop("runtime_ms"), float)
         assert doc == case["golden"]
+
+
+def test_the_master_gate_seeds_pick_every_case(monkeypatch):
+    monkeypatch.syspath_prepend(os.path.dirname(CORPUS))
+    from workloads import pick
+
+    strata = CORPUS_DOC["master"]["strata"]
+    picked = {id(case) for seed in MASTER_GATE_SEEDS for case in pick(strata, seed)}
+    assert picked == {id(case) for stratum in strata for case in stratum}

@@ -9,9 +9,10 @@ solver route trips the same table.
 
 import hashlib
 import random
+from itertools import combinations
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from pdzf import (
@@ -40,8 +41,16 @@ from pdzf import (
     tree_pd_parallel,
     z_restricted_single,
 )
+from pdzf import solver
 from pdzf.solver import _cover_exact, _RowPool
-from util import random_connected_graph, random_graph, random_subset, random_tree
+from util import (
+    graph_sweep,
+    random_connected_graph,
+    random_graph,
+    random_subset,
+    random_tree,
+    reference_cover_exact,
+)
 
 BATTERY = {
     ('path', (3,)): {
@@ -608,6 +617,24 @@ class TestKRestricted:
         assert value == direct == 3
         assert brute_force_min(g, x, "dom").value == value
 
+    @pytest.mark.parametrize("mode", ["pd", "zf", "dom"])
+    def test_matches_a_direct_maximum_over_every_x(self, mode):
+        # The solves of one graph share its components and degrees; each X
+        # still gets its own answer, and the first maximizing X wins.
+        solve = {
+            "pd": restricted_pd_number,
+            "zf": restricted_zf_number,
+            "dom": lambda g, x: brute_force_min(g, x, "dom"),
+        }[mode]
+        for g in graph_sweep(6):
+            for k in range(min(g.n, 3) + 1):
+                best, best_x = -1, None
+                for combo in combinations(range(g.n), k):
+                    value = solve(g, g.vertex_set(combo)).value
+                    if value > best:
+                        best, best_x = value, g.vertex_set(combo)
+                assert k_restricted_number(g, k, mode) == (best, best_x)
+
     def test_validation(self):
         g = generate("path", (4,))
         with pytest.raises(GraphError):
@@ -698,11 +725,11 @@ def test_answers_are_byte_identical():
 COVER_SHA256 = "ece393fb8df05b8fcf9573dcd4a45bdce40379cafc5e11099f536768a7fcdd5a"
 
 
-def _cover_instance(rng):
-    n = rng.randint(1, 64)
+def _cover_instance(rng, low=1, high=64, most_rows=100):
+    n = rng.randint(low, high)
     width = rng.choice((2, 4, 8, 24))
     rows = []
-    for _ in range(rng.randint(0, 100)):
+    for _ in range(rng.randint(0, most_rows)):
         # A duplicate, a superset or a subset of an earlier row, or a new one.
         roll = rng.random()
         if rows and roll < 0.15:
@@ -759,6 +786,64 @@ def test_cover_exact_matches_brute_force(case):
         if m & forced == forced and all(r & m for r in rows)
     )
     assert mask.bit_count() == smallest
+
+
+@st.composite
+def cover_instances(draw):
+    n = draw(st.integers(min_value=1, max_value=200))
+    member = st.integers(min_value=0, max_value=n - 1)
+    width = draw(st.sampled_from((2, 4, 8, 24)))
+    row = st.lists(member, min_size=1, max_size=width).map(lambda vs: sum(1 << v for v in set(vs)))
+    rows = draw(st.lists(row, max_size=100))
+    forced = sum(1 << v for v in set(draw(st.lists(member, max_size=3))))
+    # Few distinct degrees make ties that only the vertex id breaks.
+    most = draw(st.sampled_from((1, 3, n)))
+    degs = draw(st.lists(st.integers(min_value=0, max_value=most), min_size=n, max_size=n))
+    return n, tuple(degs), rows, forced
+
+
+# Greedy takes 0 and needs 3 vertices; below the child 1, vertices 2 and 3
+# both cover the rows left: the higher degree wins, then the lower id.
+_TIE_ROWS = [0b11, 0b11, 0b10, 0b1101, 0b1101, 0b1100]
+
+
+@settings(max_examples=100, deadline=None)
+@given(cover_instances())
+@example((4, (1, 1, 1, 1), _TIE_ROWS, 0))
+@example((4, (1, 1, 1, 2), _TIE_ROWS, 0))
+def test_cover_exact_counts_the_nodes_it_does_not_enter(case):
+    # Vertex ids and degrees above 127 included: ordering and tie breaks
+    # must not depend on a field width.
+    assert _cover_exact(*case) == reference_cover_exact(*case)
+
+
+def test_cover_exact_matches_the_reference_past_127_vertices():
+    # Ties between vertex ids on both sides of 128 break as they do below
+    # it; up to 40 rows keeps the reference search short.
+    rng = random.Random(21)
+    for _ in range(60):
+        case = _cover_instance(rng, 128, 200, 40)
+        assert _cover_exact(*case) == reference_cover_exact(*case)
+
+
+@pytest.mark.parametrize("family", ["path", "cycle"])
+@pytest.mark.parametrize("n", [40, 64])
+def test_cover_exact_matches_the_reference_on_grown_graphs(monkeypatch, family, n):
+    # Leaf attachment grows these graphs to 100-160 vertices.  Each master
+    # here stops at its root; the row sets above pin branching past 127.
+    calls = []
+
+    def both(n, degs, rows, forced):
+        answer = _cover_exact(n, degs, rows, forced)
+        assert answer == reference_cover_exact(n, degs, rows, forced)
+        calls.append(n)
+        return answer
+
+    monkeypatch.setattr(solver, "_cover_exact", both)
+    g = generate(family, (n,))
+    x = g.vertex_set(random.Random(n).sample(range(n), n // 2))
+    res = reduction_pd_number(g, x)
+    assert res.value == n // 2 and max(calls) == n + 3 * (n // 2)
 
 
 def _transpose(n, rows):

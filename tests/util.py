@@ -1,6 +1,7 @@
 """Shared test helpers: seeded generators, a small-graph sweep,
 full-rescan reference implementations of the forcing traces and the
-terminal-set enumeration, and a fresh interpreter."""
+terminal-set enumeration, a set-cover search that enters every node, and
+a fresh interpreter."""
 
 from __future__ import annotations
 
@@ -231,3 +232,49 @@ def reference_terminal_sets(graph: Graph, b: VertexSet, cap: int) -> set[VertexS
         memo[blue] = frozenset(out)
         stack.pop()
     return {VertexSet.from_mask(graph.n, full & ~forcers) for forcers in memo[b.mask]}
+
+
+def reference_cover_exact(n: int, degs: tuple[int, ...], rows, forced: int) -> tuple[int, int]:
+    """The set-cover branch and bound of ``pdzf.solver._cover_exact``
+    entering every node it counts, each to prune it on entry: the same
+    greedy start, branching order, bound and (cover, node count)."""
+    rows = list(rows)
+    col = [sum(1 << i for i, r in enumerate(rows) if r >> v & 1) for v in range(n)]
+    every = (1 << len(rows)) - 1
+    for v in bits(forced):
+        every &= ~col[v]
+    best, left = forced, every
+    while left:
+        hits = [(c & left).bit_count() for c in col]
+        best_v = hits.index(max(hits))
+        best |= 1 << best_v
+        left &= ~col[best_v]
+    best_size = best.bit_count()
+    nodes = 0
+
+    def dfs(chosen: int, size: int, todo: int, banned: int) -> None:
+        nonlocal best, best_size, nodes
+        nodes += 1
+        if not todo:
+            if size < best_size:
+                best, best_size = chosen, size
+            return
+        pick_size = n + 1
+        taken = 0
+        lower = 0
+        for i in bits(todo):
+            a = rows[i] & ~banned
+            if a.bit_count() < pick_size:
+                pick, pick_size = a, a.bit_count()
+            if a & taken == 0:
+                taken |= a
+                lower += 1
+        if size + lower >= best_size:
+            return
+        for v in sorted(bits(pick), key=lambda v: (-(col[v] & todo).bit_count(), -degs[v])):
+            vbit = 1 << v
+            dfs(chosen | vbit, size + 1, todo & ~col[v], banned)
+            banned |= vbit
+
+    dfs(forced, forced.bit_count(), every, 0)
+    return best, nodes

@@ -25,7 +25,7 @@ from .propagation import is_zero_forcing_set
 from .solver import (
     DEFAULT_CG_GUARD,
     SolveResult,
-    _guarded_components,
+    _cg_parts,
     _lift_deleted,
     restricted_pd_number,
     restricted_zf_number,
@@ -215,7 +215,7 @@ def tree_split(
         raise ValueError(f"jobs must be positive, got {jobs}")
     if vertex is None:
         if tree.n <= 2:
-            _guarded_components(tree, guard)
+            _cg_parts(tree, guard)
             return TreeSplit(tree, None, ())
         vertex = centroid(tree)
     if tree.degree(vertex) < 2:

@@ -194,7 +194,8 @@ class IndexMap:
 
     def restrict(self, s: VertexSet) -> VertexSet:
         """Map an old-id set to new ids, dropping vertices not kept."""
-        return VertexSet(len(self.to_old), (self._to_new[v] for v in s if v in self._to_new))
+        members = (new for new, old in enumerate(self.to_old) if s.mask >> old & 1)
+        return VertexSet(len(self.to_old), members)
 
     def lift(self, s: VertexSet) -> VertexSet:
         """Map a new-id set back to the original id space."""
@@ -318,6 +319,8 @@ class Graph:
         keep = self._coerce(keep)
         to_old = keep.members()
         index = IndexMap(self.n, to_old)
+        if len(to_old) == self.n:
+            return self, index  # the graph itself: graphs are immutable
         adj = []
         for old in to_old:
             inside = self.adj[old] & keep.mask

@@ -15,9 +15,10 @@ zero forcing set intersects every fort, so fort cuts never exclude an
 optimal solution; when a master optimum becomes feasible it is optimal.
 Each extracted cut is violated by the incumbent, hence new, so the loop
 terminates.  Both parameters add up over connected components, so
-constraint generation solves each component on its own master, and its
-64-vertex guard (``DEFAULT_CG_GUARD``) bounds each component rather than
-the whole graph.
+constraint generation solves each component as its own graph, in its own
+ids, and lifts the witness and every logged cut back to the graph's ids;
+its 64-vertex guard (``DEFAULT_CG_GUARD``) bounds each component rather
+than the whole graph.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from itertools import chain, islice
 
 from .constructions import attach_leaves
 from .errors import CertificationError, GraphError, check_guard
-from .graph import Graph, VertexSet, bits, supersets
+from .graph import Graph, IndexMap, VertexSet, bits, supersets
 from .forts import Fort, minimum_violated_fort
 from .propagation import certify, dominated_mask, final_step
 from .propagation import final_mask as _final_mask
@@ -261,20 +262,17 @@ def _cover_exact(n: int, degs: tuple[int, ...], rows: list[int], forced: int) ->
     return best, nodes
 
 
-def _guarded_components(graph: Graph, guard: int) -> list[VertexSet]:
-    """The components of *graph*, once the guard has admitted the largest."""
+def _cg_parts(
+    graph: Graph, guard: int = DEFAULT_CG_GUARD
+) -> list[tuple[Graph, IndexMap, tuple[int, ...]]]:
+    """What every constraint-generation solve of *graph* reads from it, whatever
+    X: once the guard has admitted the largest component, each component as
+    its own graph, with the map back to the graph's ids and its degrees."""
     comps = graph.components()
     where = "graph" if len(comps) == 1 else "a component"
     check_guard("constraint generation", guard, max(len(c) for c in comps), where)
-    return comps
-
-
-def _cg_parts(
-    graph: Graph, guard: int = DEFAULT_CG_GUARD
-) -> tuple[list[VertexSet], tuple[int, ...]]:
-    """What every constraint-generation solve of *graph* reads from it, whatever
-    X: its guarded components and its degrees."""
-    return _guarded_components(graph, guard), tuple(a.bit_count() for a in graph.adj)
+    subs = [graph.induced_subgraph(comp) for comp in comps]
+    return [(sub, index, tuple(a.bit_count() for a in sub.adj)) for sub, index in subs]
 
 
 def _cg(
@@ -284,42 +282,38 @@ def _cg(
     min_forts: bool,
     guard: int = DEFAULT_CG_GUARD,
     cut_log: list | None = None,
-    parts: tuple[list[VertexSet], tuple[int, ...]] | None = None,
+    parts: list[tuple[Graph, IndexMap, tuple[int, ...]]] | None = None,
 ) -> SolveResult:
-    comps, degs = parts or _cg_parts(graph, guard)
-    adj = graph.adj
-    n = graph.n
-    full = (1 << n) - 1
     cuts = 0
     total_nodes = 0
-    witness = 0
-    # Each component runs its own master, in the graph's ids: a set inside
-    # one component propagates only inside it, and so does every fort cut.
-    for comp in comps:
-        cmask = comp.mask
+    witness = VertexSet(graph.n)
+    # Each component runs its own master, in its own ids: a set inside one
+    # component propagates only inside it, and so does every fort cut.  The
+    # ids keep their order, so every tie breaks as it would in the graph's.
+    for sub, index, degs in parts or _cg_parts(graph, guard):
+        adj, n = sub.adj, sub.n
+        full = (1 << n) - 1
         pool = _RowPool(n)
-        forced = s_mask = x.mask & cmask
+        forced = s_mask = index.restrict(x).mask
         while True:
             final = _final_mask(adj, s_mask, mode)
-            if final == cmask:
+            if final == full:
                 break
             if min_forts:
-                forbidden = VertexSet.from_mask(n, full & ~cmask | final)
-                fmask = minimum_violated_fort(graph, forbidden).members.mask
+                fmask = minimum_violated_fort(sub, VertexSet.from_mask(n, final)).members.mask
             else:
-                fmask = cmask & ~final
+                fmask = full & ~final
             if cut_log is not None:
-                cut_log.append(
-                    (VertexSet.from_mask(n, s_mask), Fort(VertexSet.from_mask(n, fmask)))
-                )
+                incumbent, fort = (VertexSet.from_mask(n, m) for m in (s_mask, fmask))
+                cut_log.append((index.lift(incumbent), Fort(index.lift(fort))))
             pool.add_cut(dominated_mask(adj, fmask) if mode == "pd" else fmask)
             cuts += 1
             s_mask, nodes = _cover_exact(n, degs, pool, forced)
             total_nodes += nodes
-        witness |= s_mask
+        witness |= index.lift(VertexSet.from_mask(n, s_mask))
     return SolveResult(
-        value=witness.bit_count(),
-        witness=VertexSet.from_mask(n, witness),
+        value=len(witness),
+        witness=witness,
         method="constraint_generation",
         cuts_added=cuts,
         nodes=total_nodes,
@@ -391,7 +385,7 @@ def reduction_pd_number(graph: Graph, x: VertexSet | None = None) -> SolveResult
     passed in; the attached leaves do not count against it.
     """
     x = _prepare(graph, x)
-    _guarded_components(graph, DEFAULT_CG_GUARD)
+    _cg_parts(graph)
     grown = attach_leaves(graph, x, 3).graph
     res = _cg(grown, VertexSet(grown.n), "pd", True, grown.n)  # a guard of grown.n never stops
     # A witness that used an attached leaf loses it here and fails the size check.

@@ -21,7 +21,7 @@ from pdzf import (
 )
 from pdzf.cli import main
 
-from util import fresh_python, graph_sweep
+from util import fresh_python, tree_sweep
 
 P3 = "3 2\n0 1\n1 2\n"
 P5 = "5 4\n0 1\n1 2\n2 3\n3 4\n"
@@ -236,7 +236,7 @@ class TestTreePd:
         assert code == 2
 
     def test_agrees_with_the_library_on_every_small_tree(self, cli):
-        trees = [g for g in graph_sweep(8) if g.is_tree()]
+        trees = tree_sweep(8)
         assert len(trees) == 48
         for t in trees:
             code, out, err = cli(["tree-pd"], to_edge_list(t))

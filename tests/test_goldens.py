@@ -7,8 +7,9 @@ must print exactly its golden JSON object apart from ``runtime_ms``;
 every other request must exit with its recorded code, print nothing on
 standard output and write one ``error:`` line.  The benchmark itself
 replays only the cases its seed picks; this test replays them all.  The
-``master`` cases are replayed by CI's answer gate over several seeds, and
-a test here checks that those seeds pick every one of them.
+``master`` cases and the ``tree-split`` trees are replayed by CI's answer
+gate over several seeds, and a test here checks that those seeds pick
+every one of them.
 """
 
 import io
@@ -28,9 +29,9 @@ with open(CORPUS, encoding="utf-8") as fh:
     CORPUS_DOC = json.load(fh)
 CLI = CORPUS_DOC["cli"]
 
-# The seeds of the ``master`` runs in the answer gate of
+# The seeds of the ``master`` and ``tree-split`` runs in the answer gate of
 # .github/workflows/tests.yml.
-MASTER_GATE_SEEDS = range(1, 12)
+GATE_SEEDS = {"master": range(1, 12), "tree-split": range(1, 13)}
 
 CASES = [
     pytest.param(case, id=f"stratum{i}-{j}")
@@ -55,10 +56,11 @@ def test_cli_answer_matches_its_golden(case, monkeypatch, capsys):
         assert doc == case["golden"]
 
 
-def test_the_master_gate_seeds_pick_every_case(monkeypatch):
+@pytest.mark.parametrize("workload", sorted(GATE_SEEDS))
+def test_the_master_gate_seeds_pick_every_case(monkeypatch, workload):
     monkeypatch.syspath_prepend(os.path.dirname(CORPUS))
     from workloads import pick
 
-    strata = CORPUS_DOC["master"]["strata"]
-    picked = {id(case) for seed in MASTER_GATE_SEEDS for case in pick(strata, seed)}
+    strata = CORPUS_DOC[workload]["strata"]
+    picked = {id(case) for seed in GATE_SEEDS[workload] for case in pick(strata, seed)}
     assert picked == {id(case) for stratum in strata for case in stratum}

@@ -557,6 +557,67 @@ class TestDisconnected:
                 assert is_zero_forcing_set(g, res.witness)
 
 
+def _small_forest(rng):
+    """Random trees of 1..5 vertices side by side, under a random labelling."""
+    sizes = [rng.randint(1, 5) for _ in range(rng.randint(2, 8))]
+    label = list(range(sum(sizes)))
+    rng.shuffle(label)
+    edges, start = [], 0
+    for size in sizes:
+        edges += [(label[start + u], label[start + v]) for u, v in random_tree(size, rng).edges()]
+        start += size
+    return Graph(len(label), edges)
+
+
+def _component_width_cases():
+    p4s = Graph(60, [(4 * i + j, 4 * i + j + 1) for i in range(15) for j in range(3)])
+    # A triangle, a 5-cycle, a path on 3 vertices and an isolated vertex.
+    mixed = Graph(
+        12,
+        [(0, 1), (1, 2), (0, 2)]
+        + [(3 + i, 3 + (i + 1) % 5) for i in range(5)]
+        + [(8, 9), (9, 10)],
+    )
+    rng = random.Random(53)
+    graphs = [Graph(60), p4s, mixed] + [_small_forest(rng) for _ in range(12)]
+    return [(g, g.vertex_set(random_subset(g.n, rng, rng.randint(0, 3)))) for g in graphs]
+
+
+@pytest.mark.parametrize("mode", ["pd", "zf"])
+@pytest.mark.parametrize("strong", [False, True])
+def test_each_master_runs_at_its_components_width(monkeypatch, mode, strong):
+    # Every component is solved as its own graph: each master call is as
+    # wide as the component whose latest cut it answers, and the cuts come
+    # back in the graph's ids.
+    solve = restricted_pd_number if mode == "pd" else restricted_zf_number
+    real = solver._cover_exact
+    for g, x in _component_width_cases():
+        comps = g.components()
+        log = []
+
+        def spy(n, degs, rows, forced):
+            fort = log[-1][1].members
+            assert n == len(next(c for c in comps if fort.issubset(c)))
+            return real(n, degs, rows, forced)
+
+        monkeypatch.setattr(solver, "_cover_exact", spy)
+        res = solve(g, x, min_forts=strong, cut_log=log)
+        expected = 0
+        for comp in comps:
+            sub, index = g.induced_subgraph(comp)
+            expected += brute_force_min(sub, index.restrict(x), mode).value
+        assert res.value == expected
+        certify(g, res.witness, x, mode, res.value)
+        assert len(log) == res.cuts_added
+        for incumbent, fort in log:
+            assert fort.members.n == incumbent.n == g.n
+            assert is_fort(g, fort.members)
+            comp = next(c for c in comps if fort.members.issubset(c))
+            assert incumbent.issubset(comp)
+            blocked = g.closed_neighborhood(fort.members) if mode == "pd" else fort.members
+            assert incumbent.isdisjoint(blocked)
+
+
 class TestSpread:
     def test_known_values(self):
         g = generate("fig_spread")

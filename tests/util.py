@@ -178,6 +178,27 @@ def graph_sweep(max_n: int) -> tuple[Graph, ...]:
     return tuple(out)
 
 
+@lru_cache(maxsize=None)
+def tree_sweep(max_n: int) -> tuple[Graph, ...]:
+    """All trees with 1..max_n vertices, one per isomorphism class.
+
+    Every tree on n vertices is a tree on n - 1 vertices plus a leaf, so
+    each level grows every class of the level below by a leaf at every
+    vertex, deduplicating by canonical form.
+    """
+    level = {_canon(1, ()): ()}
+    out = [Graph(1)]
+    for n in range(2, max_n + 1):
+        grown: dict[tuple[int, int], tuple[tuple[int, int], ...]] = {}
+        for edges in level.values():
+            for u in range(n - 1):
+                tree = edges + ((u, n - 1),)
+                grown.setdefault(_canon(n, tree), tree)
+        level = grown
+        out.extend(Graph(n, edges) for edges in level.values())
+    return tuple(out)
+
+
 def reference_rounds(adj: tuple[int, ...], blue: int) -> tuple[tuple, int]:
     """Forcing rounds and final bitmask from *blue*, rescanning every blue
     vertex in each round: each round applies the forces legal at its start,

@@ -10,7 +10,7 @@ inapplicable ones.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 
 from .decomposition import compose_boundary_pd
@@ -78,10 +78,7 @@ def domination_half(graph: Graph) -> BoundReport:
 
 def pd_third(graph: Graph) -> BoundReport:
     """gamma_P(G) <= floor(n / 3) for a connected graph on n >= 3 vertices."""
-    if graph.n < 3 or not graph.is_connected():
-        raise BoundHypothesisError("the graph must be connected with at least 3 vertices")
-    lhs = restricted_pd_number(graph, None).value
-    return _report("pd_third", lhs, graph.n // 3)
+    return replace(restricted_pd_third(graph), name="pd_third")
 
 
 def restricted_pd_third(graph: Graph, x: VertexSet | None = None) -> BoundReport:

@@ -395,7 +395,7 @@ def main(argv: list[str] | None = None) -> int:
     except (PdzfError, ValueError, OSError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (MemoryError, RecursionError) as exc:  # too many vertices, JSON nested too deeply
+    except (MemoryError, OverflowError, RecursionError) as exc:  # too many vertices, JSON too deep
         print(f"error: the input is too large to process ({type(exc).__name__})", file=sys.stderr)
         return 2
     doc = {

@@ -174,17 +174,16 @@ class VertexSet:
 class IndexMap:
     """Correspondence between original ids and compacted subgraph ids."""
 
-    __slots__ = ("n_old", "to_old", "_to_new")
+    __slots__ = ("n_old", "to_old")
 
     def __init__(self, n_old: int, to_old: tuple[int, ...]) -> None:
         self.n_old = n_old
         self.to_old = to_old
-        self._to_new = {old: new for new, old in enumerate(to_old)}
 
     def new_of(self, old: int) -> int:
         try:
-            return self._to_new[old]
-        except KeyError:
+            return self.to_old.index(old)
+        except ValueError:
             raise GraphError(f"vertex {old} is not in the subgraph") from None
 
     def old_of(self, new: int) -> int:

@@ -210,8 +210,6 @@ def _cover_exact(n: int, degs: tuple[int, ...], rows: list[int], forced: int) ->
     every = (1 << len(rows)) - 1
     for v in bits(forced):
         every &= ~col[v]
-    if not every:
-        return forced, 1  # the root is a leaf
     best, left = forced, every
     while left:
         hits = [(c & left).bit_count() for c in col]
@@ -276,21 +274,19 @@ def _cg_parts(
 
 
 def _cg(
-    graph: Graph,
+    parts: list[tuple[Graph, IndexMap, tuple[int, ...]]],
     x: VertexSet,
     mode: str,
     min_forts: bool,
-    guard: int = DEFAULT_CG_GUARD,
     cut_log: list | None = None,
-    parts: list[tuple[Graph, IndexMap, tuple[int, ...]]] | None = None,
 ) -> SolveResult:
     cuts = 0
     total_nodes = 0
-    witness = VertexSet(graph.n)
+    witness = VertexSet(x.n)
     # Each component runs its own master, in its own ids: a set inside one
     # component propagates only inside it, and so does every fort cut.  The
     # ids keep their order, so every tie breaks as it would in the graph's.
-    for sub, index, degs in parts or _cg_parts(graph, guard):
+    for sub, index, degs in parts:
         adj, n = sub.adj, sub.n
         full = (1 << n) - 1
         pool = _RowPool(n)
@@ -340,7 +336,7 @@ def restricted_pd_number(
     graph's vertex ids.
     """
     x = _prepare(graph, x)
-    return _cg(graph, x, "pd", min_forts, guard, cut_log)
+    return _cg(_cg_parts(graph, guard), x, "pd", min_forts, cut_log)
 
 
 def restricted_zf_number(
@@ -357,7 +353,7 @@ def restricted_zf_number(
     a fort F is F itself rather than N[F].
     """
     x = _prepare(graph, x)
-    return _cg(graph, x, "zf", min_forts, guard, cut_log)
+    return _cg(_cg_parts(graph, guard), x, "zf", min_forts, cut_log)
 
 
 def pd_number_disconnected(
@@ -387,7 +383,8 @@ def reduction_pd_number(graph: Graph, x: VertexSet | None = None) -> SolveResult
     x = _prepare(graph, x)
     _cg_parts(graph)
     grown = attach_leaves(graph, x, 3).graph
-    res = _cg(grown, VertexSet(grown.n), "pd", True, grown.n)  # a guard of grown.n never stops
+    # A guard of grown.n never stops: the call above guarded the graph passed in.
+    res = _cg(_cg_parts(grown, grown.n), VertexSet(grown.n), "pd", True)
     # A witness that used an attached leaf loses it here and fails the size check.
     witness = VertexSet.from_mask(graph.n, res.witness.mask & (1 << graph.n) - 1)
     certify(graph, witness, x, "pd", res.value)
@@ -399,8 +396,8 @@ def _spread_solves(graph: Graph, v: int) -> tuple[int, SolveResult, SolveResult]
     graph._check_vertex(v)
     if graph.n < 2:
         raise GraphError("vertex spread needs at least two vertices")
-    z_res = _cg(graph, VertexSet(graph.n), "zf", False)
-    z_minus_res = _cg(graph.delete_vertex(v), VertexSet(graph.n - 1), "zf", False)
+    z_res = _cg(_cg_parts(graph), VertexSet(graph.n), "zf", False)
+    z_minus_res = _cg(_cg_parts(graph.delete_vertex(v)), VertexSet(graph.n - 1), "zf", False)
     out = z_res.value - z_minus_res.value
     if out not in (-1, 0, 1):
         raise CertificationError(f"spread {out} is not -1, 0 or 1")
@@ -434,7 +431,7 @@ def spread_and_single(graph: Graph, v: int) -> tuple[int, SolveResult]:
         witness = z_res.witness | VertexSet(graph.n, (v,))
         result = SolveResult(z_res.value + 1, witness, "reduction")
     else:
-        return s, _cg(graph, VertexSet(graph.n, (v,)), "zf", False)
+        return s, _cg(_cg_parts(graph), VertexSet(graph.n, (v,)), "zf", False)
     certify(graph, result.witness, (v,), "zf", result.value)
     return s, result
 
@@ -468,7 +465,7 @@ def k_restricted_number(graph: Graph, k: int, mode: str = "pd") -> tuple[int, Ve
         if mode == "dom":
             value = brute_force_min(graph, x, "dom").value
         else:
-            value = _cg(graph, x, mode, False, parts=parts).value
+            value = _cg(parts, x, mode, False).value
         if value > best:
             best, best_x = value, x
     return best, best_x

@@ -161,7 +161,7 @@ def test_guard_message(call, message):
 def test_value_types_copy_and_pickle(obj):
     def state(o):
         # IndexMap defines no equality; compare its slots instead.
-        return (o.n_old, o.to_old, o._to_new) if isinstance(o, pdzf.IndexMap) else o
+        return (o.n_old, o.to_old) if isinstance(o, pdzf.IndexMap) else o
 
     protocols = range(2, pickle.HIGHEST_PROTOCOL + 1)
     for twin in [*(pickle.loads(pickle.dumps(obj, p)) for p in protocols), copy.deepcopy(obj)]:

@@ -76,9 +76,9 @@ def bumped_split():
 def with_leaf(cg):
     """Wrap ``_cg`` so that its witness also holds the graph's last vertex."""
 
-    def leafy(graph, x, mode, *args):
-        res = cg(graph, x, mode, *args)
-        leaf = VertexSet(graph.n, (graph.n - 1,))
+    def leafy(parts, x, mode, *args):
+        res = cg(parts, x, mode, *args)
+        leaf = VertexSet(x.n, (x.n - 1,))
         return SolveResult(res.value + 1, res.witness | leaf, res.method)
 
     return leafy

@@ -486,6 +486,14 @@ class TestInputContract:
             # 2**62 vertices: the adjacency list fails to allocate at once.
             pytest.param(["trace"], "4611686018427387904 0\n", id="huge-n-trace"),
             pytest.param(["gen", "path", "4611686018427387904"], "", id="huge-n-gen"),
+            # 2**64 vertices: no index-sized integer holds the count.
+            pytest.param(["trace"], "18446744073709551616 0\n", id="huge-n-index-trace"),
+            pytest.param(["gen", "path", "18446744073709551616"], "", id="huge-n-index-gen"),
+            pytest.param(
+                ["compose", "pendant"],
+                json.dumps({"base": "18446744073709551616 0\n", "x": [], "attachments": []}),
+                id="huge-n-index-compose",
+            ),
             pytest.param(["compose", "pendant"], "[" * 200000, id="deep-json"),
             pytest.param(["compose", "boundary", "--spec", MISSING], "", id="missing-spec"),
         ],

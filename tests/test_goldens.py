@@ -29,9 +29,9 @@ with open(CORPUS, encoding="utf-8") as fh:
     CORPUS_DOC = json.load(fh)
 CLI = CORPUS_DOC["cli"]
 
-# The seeds of the ``master`` and ``tree-split`` runs in the answer gate of
-# .github/workflows/tests.yml.
-GATE_SEEDS = {"master": range(1, 12), "tree-split": range(1, 13)}
+# The seeds of the ``master``, ``tree-split`` and ``oracle`` runs in the
+# answer gate of .github/workflows/tests.yml.
+GATE_SEEDS = {"master": range(1, 12), "tree-split": range(1, 13), "oracle": range(1, 12)}
 
 CASES = [
     pytest.param(case, id=f"stratum{i}-{j}")

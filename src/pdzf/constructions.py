@@ -8,7 +8,8 @@ label conventions.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from itertools import chain
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .errors import GraphError
 from .graph import Graph, VertexSet
@@ -101,7 +102,7 @@ def _path(n: int) -> Graph:
 def _cycle(n: int) -> Graph:
     """Cycle 0-1-...-(n-1)-0."""
     _need(n >= 3, "cycle needs n >= 3")
-    return Graph(n, [(i, (i + 1) % n) for i in range(n)])
+    return Graph(n, ((i, (i + 1) % n) for i in range(n)))
 
 
 def _star(p: int) -> Graph:
@@ -121,14 +122,17 @@ def grid2_id(i: int, j: int) -> int:
     return 2 * i + j
 
 
+def _grid2_edges(n: int) -> Iterator[tuple[int, int]]:
+    """The rungs, then the two rails, of the n-by-2 grid."""
+    rungs = ((grid2_id(i, 0), grid2_id(i, 1)) for i in range(n))
+    rails = ((grid2_id(i, j), grid2_id(i + 1, j)) for i in range(n - 1) for j in (0, 1))
+    return chain(rungs, rails)
+
+
 def _grid2(n: int) -> Graph:
     """The n-by-2 grid; vertex (i, j) has id 2i + j."""
     _need(n >= 1, "grid2 needs n >= 1")
-    edges = [(grid2_id(i, 0), grid2_id(i, 1)) for i in range(n)]
-    for i in range(n - 1):
-        edges.append((grid2_id(i, 0), grid2_id(i + 1, 0)))
-        edges.append((grid2_id(i, 1), grid2_id(i + 1, 1)))
-    return Graph(2 * n, edges)
+    return Graph(2 * n, _grid2_edges(n))
 
 
 def _grid2_triangles(n: int) -> Graph:
@@ -139,12 +143,10 @@ def _grid2_triangles(n: int) -> Graph:
     n-1, column 1).
     """
     _need(n >= 2, "grid2_triangles needs n >= 2")
-    base = _grid2(n)
-    edges = base.edges()
     top, bottom = grid2_id(0, 1), grid2_id(n - 1, 1)
-    edges += [(2 * n, 2 * n + 1), (top, 2 * n), (top, 2 * n + 1)]
-    edges += [(2 * n + 2, 2 * n + 3), (bottom, 2 * n + 2), (bottom, 2 * n + 3)]
-    return Graph(2 * n + 4, edges)
+    ends = [(2 * n, 2 * n + 1), (top, 2 * n), (top, 2 * n + 1)]
+    ends += [(2 * n + 2, 2 * n + 3), (bottom, 2 * n + 2), (bottom, 2 * n + 3)]
+    return Graph(2 * n + 4, chain(_grid2_edges(n), ends))
 
 
 def _spider_complete(n: int) -> Graph:
@@ -154,11 +156,14 @@ def _spider_complete(n: int) -> Graph:
     i-a, a-b, a-c.
     """
     _need(n >= 1, "spider_complete needs n >= 1")
-    edges = [(u, v) for u in range(n) for v in range(u + 1, n)]
-    for i in range(n):
-        a = n + 3 * i
-        edges += [(i, a), (a, a + 1), (a, a + 2)]
-    return Graph(4 * n, edges)
+
+    def edges() -> Iterator[tuple[int, int]]:
+        yield from ((u, v) for u in range(n) for v in range(u + 1, n))
+        for i in range(n):
+            a = n + 3 * i
+            yield from [(i, a), (a, a + 1), (a, a + 2)]
+
+    return Graph(4 * n, edges())
 
 
 def _double_star_join(p: int, q: int) -> Graph:
@@ -169,11 +174,10 @@ def _double_star_join(p: int, q: int) -> Graph:
     four cross edges.
     """
     _need(p >= 2 and q >= 2, "double_star_join needs p, q >= 2")
-    c2 = p + 1
-    edges = [(0, i) for i in range(1, p + 1)]
-    edges += [(c2, i) for i in range(p + 2, p + q + 2)]
-    edges += [(1, p + 2), (1, p + 3), (2, p + 2), (2, p + 3)]
-    return Graph(p + q + 2, edges)
+    star1 = ((0, i) for i in range(1, p + 1))
+    star2 = ((p + 1, i) for i in range(p + 2, p + q + 2))
+    cross = [(1, p + 2), (1, p + 3), (2, p + 2), (2, p + 3)]
+    return Graph(p + q + 2, chain(star1, star2, cross))
 
 
 def _fig_examples() -> Graph:
@@ -220,12 +224,14 @@ def _c5_hub(k: int) -> Graph:
     N[x] is 4^k.
     """
     _need(k >= 1, "c5_hub needs k >= 1")
-    edges = []
-    for i in range(k):
-        a = 5 * i
-        edges += [(a, a + 1), (a + 1, a + 2), (a + 2, a + 3), (a + 3, a + 4), (a + 4, a)]
-        edges += [(5 * k, a + 3), (5 * k, a + 4)]
-    return Graph(5 * k + 1, edges)
+
+    def edges() -> Iterator[tuple[int, int]]:
+        for i in range(k):
+            a = 5 * i
+            yield from [(a, a + 1), (a + 1, a + 2), (a + 2, a + 3), (a + 3, a + 4), (a + 4, a)]
+            yield from [(5 * k, a + 3), (5 * k, a + 4)]
+
+    return Graph(5 * k + 1, edges())
 
 
 _FAMILIES: dict[str, tuple[int, Callable[..., Graph]]] = {

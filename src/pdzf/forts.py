@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import CertificationError, InfeasibleError, check_guard
-from .graph import Graph, VertexSet, bits, supersets
+from .graph import Graph, VertexSet, supersets
 from .propagation import closure_mask, final_mask
 
 __all__ = [
@@ -36,8 +36,10 @@ def _is_fort_mask(adj: tuple[int, ...], n: int, fmask: int) -> bool:
     if fmask == 0:
         return False
     outside = (1 << n) - 1 & ~fmask
-    for w in bits(outside):
-        inside = adj[w] & fmask
+    while outside:
+        low = outside & -outside
+        outside ^= low
+        inside = adj[low.bit_length() - 1] & fmask
         if inside and inside & (inside - 1) == 0:
             return False
     return True
@@ -134,45 +136,65 @@ def _forest_min_fort(adj: tuple[int, ...], cand: int) -> int | None:
     total decodes back to that mask.
     """
     n = len(adj)
+    top = 1 << n
     inf = n + 1 << n  # above every feasible total
     near = cand
-    for v in bits(cand):
-        near |= adj[v]
+    scan = cand
+    while scan:
+        low = scan & -scan
+        scan ^= low
+        near |= adj[low.bit_length() - 1]
     parent = [-1] * n
     order: list[int] = []
     seen = 0
-    for root in bits(near):
-        if seen >> root & 1:
-            continue
-        seen |= 1 << root
+    unseen = near
+    while unseen:
+        low = unseen & -unseen  # each root is the lowest unseen vertex
+        seen |= low
         i = len(order)
-        order.append(root)
+        order.append(low.bit_length() - 1)
         while i < len(order):
             u = order[i]
             i += 1
             nbrs = adj[u] if cand >> u & 1 else adj[u] & cand
-            if parent[u] >= 0:
-                nbrs &= ~(1 << parent[u])
+            p = parent[u]
+            if p >= 0:
+                nbrs &= ~(1 << p)
             if nbrs & seen:
                 return None
             seen |= nbrs
-            for w in bits(nbrs):
+            while nbrs:
+                low = nbrs & -nbrs
+                nbrs ^= low
+                w = low.bit_length() - 1
                 parent[w] = u
                 order.append(w)
+        unseen = near & ~seen
     in_sum = [0] * n  # sum over children of min(A, B1, B2)
     out_one = [inf] * n  # min over children of min(B0, B2)
     first = [inf] * n  # the two smallest child A
     second = [inf] * n
     best = inf
+    # B2 = first + second is never below B1 = first, so min(A, B1, B2) is
+    # min(A, B1).
     for v in reversed(order):
-        a = (1 << n) - (1 << n - 1 - v) + in_sum[v] if cand >> v & 1 else inf
-        b0, b1, b2 = out_one[v], first[v], first[v] + second[v]
+        a = top - (top >> v + 1) + in_sum[v] if cand >> v & 1 else inf
+        b0 = out_one[v]
+        b1 = first[v]
+        b2 = b1 + second[v]
         p = parent[v]
         if p < 0:
-            best = min(best, a, b0, b2)
+            if a < best:
+                best = a
+            if b0 < best:
+                best = b0
+            if b2 < best:
+                best = b2
             continue
-        in_sum[p] += min(a, b1, b2)
-        out_one[p] = min(out_one[p], b0, b2)
+        in_sum[p] += a if a < b1 else b1
+        out = b0 if b0 < b2 else b2
+        if out < out_one[p]:
+            out_one[p] = out
         if a < first[p]:
             first[p], second[p] = a, first[p]
         elif a < second[p]:

@@ -1,5 +1,10 @@
 """Generators and leaf constructions."""
 
+import os
+import resource
+import subprocess
+import sys
+
 import pytest
 
 from pdzf import (
@@ -12,6 +17,10 @@ from pdzf import (
     generate,
     leaf_bound_witness,
 )
+
+from util import SRC
+
+HUGE = "99999999999999999999"
 
 
 class TestAttachLeaves:
@@ -132,6 +141,34 @@ class TestFamilies:
         ]:
             with pytest.raises(GraphError):
                 generate(name, params)
+
+    @pytest.mark.parametrize(
+        "params",
+        [
+            (name, HUGE)
+            for name in ("path", "cycle", "star", "complete", "grid2", "grid2_triangles",
+                         "spider_complete", "c5_hub")
+        ]
+        + [("double_star_join", HUGE, "2"), ("double_star_join", "2", HUGE)],
+        ids=lambda params: "-".join("huge" if p == HUGE else p for p in params),
+    )
+    def test_absurd_size_fails_at_once(self, params):
+        # Every family hands its edges to Graph lazily, so Graph's vertex
+        # array overflows before any edge is built.  A generator that built
+        # its edge list first would grow until the address-space cap stops
+        # it with MemoryError, so the child never runs without the cap.
+        cap = 256 << 20
+        proc = subprocess.run(
+            [sys.executable, "-m", "pdzf.cli", "gen", *params],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": SRC},
+            preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (cap, cap)),
+            timeout=60,
+        )
+        assert (proc.returncode, proc.stdout, proc.stderr) == (
+            2, "", "error: the input is too large to process (OverflowError)\n"
+        )
 
     def test_grid2_triangles_structure(self):
         g = generate("grid2_triangles", (3,))

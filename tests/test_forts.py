@@ -21,7 +21,7 @@ from pdzf import (
 from pdzf import forts
 from pdzf.forts import _forest_min_fort, _lex_fort_of_size
 
-from util import graph_sweep, random_connected_graph, random_subset, random_tree
+from util import graph_sweep, random_connected_graph, random_subset, random_tree, tree_sweep
 
 
 def fort_by_definition(graph, members):
@@ -188,6 +188,10 @@ class TestForestMinFort:
             cand = g.vertex_set(random_subset(n, rng, rng.randint(0, n))).mask
             found = _forest_min_fort(g.adj, cand)
             assert found == size_loop_fort(g, cand) == enumeration_fort(g, cand)
+        # Every candidate set of every tree on at most 8 vertices.
+        for g in tree_sweep(8):
+            for cand in range(1 << g.n):
+                assert _forest_min_fort(g.adj, cand) == size_loop_fort(g, cand)
 
     def test_cycle_among_forbidden_vertices_keeps_the_dp(self):
         g = TRIANGLE_WITH_TAILS

@@ -7,7 +7,6 @@ label conventions.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import chain
 from typing import Callable, Iterable, Iterator, Sequence
 
@@ -15,7 +14,6 @@ from .errors import GraphError
 from .graph import Graph, VertexSet
 
 __all__ = [
-    "LeafAttachment",
     "attach_leaves",
     "leaf_bound_witness",
     "apex_over",
@@ -25,48 +23,18 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class LeafAttachment:
-    """Result of attaching pendant leaves to selected vertices.
+def attach_leaves(graph: Graph, x: VertexSet | Iterable[int], r: int) -> Graph:
+    """The graph with *r* new pendant leaves on every vertex of *x*.
 
-    ``graph`` keeps the base vertices at their original ids 0..n-1; the new
-    leaves take ids n, n+1, ... grouped by attachment vertex in increasing
-    order.  ``leaf_ids`` pairs each attachment vertex with its leaves.
+    The base vertices keep their ids 0..n-1; the i-th vertex of *x* in
+    increasing order gets the leaves n + r*i, ..., n + r*i + r - 1.
     """
-
-    graph: Graph
-    base: Graph
-    attached_to: VertexSet
-    leaves_per_vertex: int
-    leaf_ids: tuple[tuple[int, tuple[int, ...]], ...]
-
-    def leaves_of(self, x: int) -> tuple[int, ...]:
-        for v, leaves in self.leaf_ids:
-            if v == x:
-                return leaves
-        raise GraphError(f"no leaves were attached to vertex {x}")
-
-
-def attach_leaves(graph: Graph, x: VertexSet | Iterable[int], r: int) -> LeafAttachment:
-    """Attach *r* new pendant leaves to every vertex of *x*."""
     x = graph._coerce(x)
     if r < 0:
         raise GraphError("leaf count must be nonnegative")
-    edges = list(graph.edges())
-    leaf_ids = []
-    nxt = graph.n
-    for v in x:
-        mine = tuple(range(nxt, nxt + r))
-        leaf_ids.append((v, mine))
-        edges.extend((v, leaf) for leaf in mine)
-        nxt += r
-    return LeafAttachment(
-        graph=Graph(nxt, edges),
-        base=graph,
-        attached_to=x,
-        leaves_per_vertex=r,
-        leaf_ids=tuple(leaf_ids),
-    )
+    n = graph.n
+    leaves = ((v, n + r * i + j) for i, v in enumerate(x) for j in range(r))
+    return Graph(n + r * len(x), chain(graph.edges(), leaves))
 
 
 def leaf_bound_witness(graph: Graph, x: VertexSet | Iterable[int]) -> Graph:
@@ -77,7 +45,7 @@ def leaf_bound_witness(graph: Graph, x: VertexSet | Iterable[int]) -> Graph:
     the bound cannot be improved.
     """
     x = graph._coerce(x)
-    return attach_leaves(graph, x.complement(), 2).graph
+    return attach_leaves(graph, x.complement(), 2)
 
 
 def apex_over(graph: Graph, t: VertexSet | Iterable[int]) -> Graph:

@@ -225,7 +225,7 @@ def tree_split(
     parts = []
     for branch in sorted(branches, key=lambda b: b & tree.adj[vertex]):  # by the neighbor of v
         sub, index = tree.induced_subgraph(VertexSet.from_mask(tree.n, branch | 1 << vertex))
-        anchor = index.new_of(vertex)
+        anchor = index.to_old.index(vertex)
         anchored = _solve_task(sub, (anchor,), guard)
         free = _solve_task(sub, (), guard)
         deleted = _solve_task(sub.delete_vertex(anchor), (), guard)

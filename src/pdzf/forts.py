@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import CertificationError, InfeasibleError, check_guard
-from .graph import Graph, VertexSet, supersets
+from .graph import Graph, VertexSet, dominated_mask, supersets
 from .propagation import closure_mask, final_mask
 
 __all__ = [
@@ -32,10 +32,11 @@ class Fort:
     members: VertexSet
 
 
-def _is_fort_mask(adj: tuple[int, ...], n: int, fmask: int) -> bool:
+def _is_fort_mask(adj: tuple[int, ...], fmask: int) -> bool:
     if fmask == 0:
         return False
-    outside = (1 << n) - 1 & ~fmask
+    # Only a neighbour of the fort can see exactly one member.
+    outside = dominated_mask(adj, fmask) & ~fmask
     while outside:
         low = outside & -outside
         outside ^= low
@@ -47,7 +48,7 @@ def _is_fort_mask(adj: tuple[int, ...], n: int, fmask: int) -> bool:
 
 def is_fort(graph: Graph, f: VertexSet) -> bool:
     f = graph._coerce(f)
-    return _is_fort_mask(graph.adj, graph.n, f.mask)
+    return _is_fort_mask(graph.adj, f.mask)
 
 
 def fort_from_failed_set(graph: Graph, s: VertexSet, mode: str = "pd") -> Fort:
@@ -247,7 +248,7 @@ def minimum_violated_fort(graph: Graph, forbidden: VertexSet) -> Fort:
         if closure_mask(adj, forbidden.mask) != full:
             raise CertificationError("a fort avoids the forbidden set, but none was found")
         raise InfeasibleError("no fort avoids the forbidden set")
-    if found & ~cand_mask or not _is_fort_mask(adj, n, found):
+    if found & ~cand_mask or not _is_fort_mask(adj, found):
         raise CertificationError(f"mask {found:#x} is not a fort avoiding the forbidden set")
     return Fort(VertexSet.from_mask(n, found))
 
@@ -256,5 +257,5 @@ def enumerate_forts(graph: Graph, guard: int = DEFAULT_FORT_GUARD) -> list[Fort]
     """All forts, by exhaustive subset check; ordered by size then members."""
     check_guard("fort enumeration", guard, graph.n)
     adj, n = graph.adj, graph.n
-    found = (m for size in supersets(0, n) for m, _ in size if _is_fort_mask(adj, n, m))
+    found = (m for size in supersets(0, n) for m, _ in size if _is_fort_mask(adj, m))
     return [Fort(VertexSet.from_mask(n, m)) for m in found]

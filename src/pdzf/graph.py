@@ -180,17 +180,6 @@ class IndexMap:
         self.n_old = n_old
         self.to_old = to_old
 
-    def new_of(self, old: int) -> int:
-        try:
-            return self.to_old.index(old)
-        except ValueError:
-            raise GraphError(f"vertex {old} is not in the subgraph") from None
-
-    def old_of(self, new: int) -> int:
-        if not 0 <= new < len(self.to_old):
-            raise GraphError(f"vertex {new} is not a subgraph id")
-        return self.to_old[new]
-
     def restrict(self, s: VertexSet) -> VertexSet:
         """Map an old-id set to new ids, dropping vertices not kept."""
         members = (new for new, old in enumerate(self.to_old) if s.mask >> old & 1)
@@ -255,11 +244,6 @@ class Graph:
         if self.n == 0:
             raise GraphError("the empty graph has no maximum degree")
         return max(a.bit_count() for a in self.adj)
-
-    def has_edge(self, u: int, v: int) -> bool:
-        self._check_vertex(u)
-        self._check_vertex(v)
-        return self.adj[u] >> v & 1 == 1
 
     def neighbors(self, v: int) -> VertexSet:
         self._check_vertex(v)

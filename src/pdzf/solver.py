@@ -382,9 +382,9 @@ def reduction_pd_number(graph: Graph, x: VertexSet | None = None) -> SolveResult
     """
     x = _prepare(graph, x)
     _cg_parts(graph)
-    grown = attach_leaves(graph, x, 3).graph
+    grown = attach_leaves(graph, x, 3)
     # A guard of grown.n never stops: the call above guarded the graph passed in.
-    res = _cg(_cg_parts(grown, grown.n), VertexSet(grown.n), "pd", True)
+    res = restricted_pd_number(grown, min_forts=True, guard=grown.n)
     # A witness that used an attached leaf loses it here and fails the size check.
     witness = VertexSet.from_mask(graph.n, res.witness.mask & (1 << graph.n) - 1)
     certify(graph, witness, x, "pd", res.value)
@@ -396,8 +396,8 @@ def _spread_solves(graph: Graph, v: int) -> tuple[int, SolveResult, SolveResult]
     graph._check_vertex(v)
     if graph.n < 2:
         raise GraphError("vertex spread needs at least two vertices")
-    z_res = _cg(_cg_parts(graph), VertexSet(graph.n), "zf", False)
-    z_minus_res = _cg(_cg_parts(graph.delete_vertex(v)), VertexSet(graph.n - 1), "zf", False)
+    z_res = restricted_zf_number(graph)
+    z_minus_res = restricted_zf_number(graph.delete_vertex(v))
     out = z_res.value - z_minus_res.value
     if out not in (-1, 0, 1):
         raise CertificationError(f"spread {out} is not -1, 0 or 1")
@@ -431,7 +431,7 @@ def spread_and_single(graph: Graph, v: int) -> tuple[int, SolveResult]:
         witness = z_res.witness | VertexSet(graph.n, (v,))
         result = SolveResult(z_res.value + 1, witness, "reduction")
     else:
-        return s, _cg(_cg_parts(graph), VertexSet(graph.n, (v,)), "zf", False)
+        return s, restricted_zf_number(graph, (v,))
     certify(graph, result.witness, (v,), "zf", result.value)
     return s, result
 

@@ -227,9 +227,9 @@ def test_c3_leaf_attachment_identities():
         for members in anchors:
             x = g.vertex_set(members)
             value = restricted_pd_number(g, x).value
-            two = attach_leaves(g, x, 2).graph
+            two = attach_leaves(g, x, 2)
             assert restricted_pd_number(two).value == value
-            three = attach_leaves(g, x, 3).graph
+            three = attach_leaves(g, x, 3)
             original = {s.members() for s in minimum_solutions(g, x, "pd")}
             lifted = {s.members() for s in minimum_solutions(three, None, "pd")}
             assert original == lifted

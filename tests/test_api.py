@@ -45,7 +45,7 @@ PUBLIC = [
     "DEFAULT_ORACLE_GUARD", "DEFAULT_TERMINAL_CAP", "DuplicateEdgeError",
     "EdgeCountMismatchError", "EdgeListError", "ForcingChainDecomposition", "Fort", "Graph",
     "GraphError", "GuardExceededError", "InconsistentTraceError", "IndexMap",
-    "InfeasibleError", "LeafAttachment", "LeafClassification", "LeafSupports",
+    "InfeasibleError", "LeafClassification", "LeafSupports",
     "MalformedEdgeError", "MalformedHeaderError", "NotATreeError", "PdzfError",
     "PendantComposition", "PropagationTrace", "SelfLoopError", "SolveResult", "TreePart",
     "TreeSplit", "VertexOutOfRangeError", "VertexSet", "__version__", "apex_over",
@@ -78,7 +78,7 @@ MODULES = [
 
 class TestSurface:
     def test_names_are_pinned_and_unique(self):
-        assert len(PUBLIC) == 88
+        assert len(PUBLIC) == 87
         assert sorted(pdzf.__all__) == PUBLIC
         assert len(set(pdzf.__all__)) == len(pdzf.__all__)
 

@@ -1,6 +1,7 @@
 """Generators and leaf constructions."""
 
 import os
+import random
 import resource
 import subprocess
 import sys
@@ -18,7 +19,7 @@ from pdzf import (
     leaf_bound_witness,
 )
 
-from util import SRC
+from util import SRC, random_graph, random_subset
 
 HUGE = "99999999999999999999"
 
@@ -26,25 +27,32 @@ HUGE = "99999999999999999999"
 class TestAttachLeaves:
     def test_ids_group_by_attachment_vertex(self):
         g = generate("path", (3,))
-        att = attach_leaves(g, [0, 2], 2)
-        assert att.graph.n == 7
-        assert att.leaf_ids == ((0, (3, 4)), (2, (5, 6)))
-        assert att.leaves_of(2) == (5, 6)
-        assert att.base == g
-        assert att.leaves_per_vertex == 2
-        for v, leaves in att.leaf_ids:
-            for leaf in leaves:
-                assert att.graph.degree(leaf) == 1
-                assert att.graph.has_edge(v, leaf)
+        grown = attach_leaves(g, [0, 2], 2)
+        assert grown.n == 7
+        assert set(grown.neighbors(0)) == {1, 3, 4}
+        assert set(grown.neighbors(2)) == {1, 5, 6}
         # base adjacency is untouched
-        assert set(g.edges()).issubset(att.graph.edges())
-        assert att.graph.m == g.m + 4
+        assert set(g.edges()).issubset(grown.edges())
+        assert grown.m == g.m + 4
+        # The i-th vertex of X in increasing order gets the leaves
+        # n + r*i ... n + r*i + r - 1, each of degree one.
+        rng = random.Random(7)
+        for _ in range(40):
+            n = rng.randint(1, 9)
+            g = random_graph(n, rng)
+            x = random_subset(n, rng)
+            r = rng.randint(0, 3)
+            grown = attach_leaves(g, rng.sample(x, len(x)), r)
+            assert grown.n == n + r * len(x)
+            for i, v in enumerate(x):
+                for leaf in range(n + r * i, n + r * i + r):
+                    assert set(grown.neighbors(leaf)) == {v}
+            base = [(u, w) for u, w in grown.edges() if w < n]
+            assert base == g.edges()
 
     def test_zero_leaves_is_identity(self):
         g = generate("cycle", (4,))
-        att = attach_leaves(g, [1], 0)
-        assert att.graph == g
-        assert att.leaves_of(1) == ()
+        assert attach_leaves(g, [1], 0) == g
 
     def test_errors(self):
         g = generate("path", (3,))
@@ -52,8 +60,6 @@ class TestAttachLeaves:
             attach_leaves(g, [0], -1)
         with pytest.raises(GraphError):
             attach_leaves(g, [7], 1)
-        with pytest.raises(GraphError):
-            attach_leaves(g, [0], 1).leaves_of(1)
 
     def test_leaf_bound_witness_size(self):
         g = generate("complete", (4,))
@@ -70,7 +76,7 @@ class TestApexOver:
         a = apex_over(g, [0, 2])
         assert a.n == 4
         assert set(a.neighbors(3)) == {0, 2}
-        assert a.has_edge(0, 1) and a.has_edge(1, 2)
+        assert {(0, 1), (1, 2)} <= set(a.edges())
 
     def test_empty_support(self):
         g = generate("path", (2,))
@@ -188,8 +194,7 @@ class TestFamilies:
     def test_double_star_join_structure(self):
         g = generate("double_star_join", (3, 4))
         assert g.degree(0) == 3 and g.degree(4) == 4
-        for u, v in [(1, 5), (1, 6), (2, 5), (2, 6)]:
-            assert g.has_edge(u, v)
+        assert {(1, 5), (1, 6), (2, 5), (2, 6)} <= set(g.edges())
 
     def test_c5_hub_structure(self):
         g = generate("c5_hub", (2,))
@@ -198,7 +203,7 @@ class TestFamilies:
         for i in range(2):
             a = 5 * i
             for u, v in [(a, a + 1), (a + 1, a + 2), (a + 2, a + 3), (a + 3, a + 4), (a + 4, a)]:
-                assert g.has_edge(u, v)
+                assert v in g.neighbors(u)
 
     def test_figure_edges_pinned(self):
         assert generate("fig_examples").edges() == [

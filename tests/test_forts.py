@@ -21,7 +21,14 @@ from pdzf import (
 from pdzf import forts
 from pdzf.forts import _forest_min_fort, _lex_fort_of_size
 
-from util import graph_sweep, random_connected_graph, random_subset, random_tree, tree_sweep
+from util import (
+    graph_sweep,
+    random_connected_graph,
+    random_graph,
+    random_subset,
+    random_tree,
+    tree_sweep,
+)
 
 
 def fort_by_definition(graph, members):
@@ -32,7 +39,7 @@ def fort_by_definition(graph, members):
     for w in range(graph.n):
         if w in f:
             continue
-        inside = sum(1 for u in f if graph.has_edge(u, w))
+        inside = sum(1 for u in f if u in graph.neighbors(w))
         if inside == 1:
             return False
     return True
@@ -77,6 +84,12 @@ class TestIsFort:
         for _ in range(60):
             n = rng.randint(1, 8)
             g = random_connected_graph(n, rng) if n > 1 else generate("path", (1,))
+            members = random_subset(n, rng)
+            assert is_fort(g, g.vertex_set(members)) == fort_by_definition(g, members)
+        # Isolated vertices and several components.
+        for _ in range(60):
+            n = rng.randint(1, 8)
+            g = random_graph(n, rng, 0.25)
             members = random_subset(n, rng)
             assert is_fort(g, g.vertex_set(members)) == fort_by_definition(g, members)
 

@@ -90,18 +90,6 @@ class TreeSplit:
     parts: tuple[TreePart, ...]
 
     @property
-    def active(self) -> tuple[int, ...]:
-        return tuple(i for i, p in enumerate(self.parts) if p.role == "active")
-
-    @property
-    def idle(self) -> tuple[int, ...]:
-        return tuple(i for i, p in enumerate(self.parts) if p.role == "idle")
-
-    @property
-    def costly(self) -> tuple[int, ...]:
-        return tuple(i for i, p in enumerate(self.parts) if p.role == "costly")
-
-    @property
     def base_value(self) -> int:
         """Sum of the anchored branch minima, minus one per branch."""
         return sum(p.anchored.value for p in self.parts) - len(self.parts)
@@ -114,7 +102,8 @@ class TreeSplit:
         it to act, or no branch gets cheaper without it.
         """
         g = self.base_value
-        return g + 1 if len(self.active) >= 2 or not self.costly else g
+        roles = [p.role for p in self.parts]
+        return g + 1 if roles.count("active") >= 2 or "costly" not in roles else g
 
     def result(self) -> SolveResult:
         """Assemble and verify a witness of size ``value`` for the tree.

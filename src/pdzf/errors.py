@@ -6,12 +6,6 @@ __all__ = [
     "PdzfError",
     "GraphError",
     "EdgeListError",
-    "MalformedHeaderError",
-    "MalformedEdgeError",
-    "VertexOutOfRangeError",
-    "SelfLoopError",
-    "DuplicateEdgeError",
-    "EdgeCountMismatchError",
     "GuardExceededError",
     "InfeasibleError",
     "InconsistentTraceError",
@@ -35,30 +29,6 @@ class EdgeListError(PdzfError, ValueError):
     def __init__(self, message: str, line: int) -> None:
         super().__init__(f"line {line}: {message}")
         self.line = line
-
-
-class MalformedHeaderError(EdgeListError):
-    """The 'n m' header line is missing or unreadable."""
-
-
-class MalformedEdgeError(EdgeListError):
-    """An edge line is not two integers."""
-
-
-class VertexOutOfRangeError(EdgeListError):
-    """An edge endpoint is outside [0, n)."""
-
-
-class SelfLoopError(EdgeListError):
-    """An edge joins a vertex to itself."""
-
-
-class DuplicateEdgeError(EdgeListError):
-    """An edge appears twice (in either orientation)."""
-
-
-class EdgeCountMismatchError(EdgeListError):
-    """The body does not contain exactly the declared number of edges."""
 
 
 class GuardExceededError(PdzfError):

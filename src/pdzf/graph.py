@@ -8,17 +8,9 @@ public surface deals in :class:`VertexSet` objects and plain ints.
 from __future__ import annotations
 
 from collections import defaultdict
-from typing import IO, Callable, Iterable, Iterator, TypeVar
+from typing import Callable, Iterable, Iterator, TypeVar
 
-from .errors import (
-    DuplicateEdgeError,
-    EdgeCountMismatchError,
-    GraphError,
-    MalformedEdgeError,
-    MalformedHeaderError,
-    SelfLoopError,
-    VertexOutOfRangeError,
-)
+from .errors import EdgeListError, GraphError
 
 __all__ = ["VertexSet", "Graph", "IndexMap", "from_edge_list", "to_edge_list"]
 
@@ -102,6 +94,8 @@ class VertexSet:
 
     @classmethod
     def from_mask(cls, n: int, mask: int) -> "VertexSet":
+        if n < 0:
+            raise GraphError("ambient size must be nonnegative")
         if mask < 0 or mask >> n:
             raise GraphError(f"mask {mask:#x} does not fit in {n} bits")
         obj = cls.__new__(cls)
@@ -111,7 +105,7 @@ class VertexSet:
 
     @classmethod
     def full(cls, n: int) -> "VertexSet":
-        return cls.from_mask(n, (1 << n) - 1)
+        return cls.from_mask(n, (1 << max(n, 0)) - 1)
 
     def _check(self, other: "VertexSet") -> None:
         if not isinstance(other, VertexSet):
@@ -329,21 +323,15 @@ class Graph:
         return f"Graph(n={self.n}, m={self.m})"
 
 
-def from_edge_list(source: str | bytes | IO) -> Graph:
+def from_edge_list(source: str) -> Graph:
     """Parse the textual edge-list format.
 
     Lines starting with ``#`` and blank lines are ignored.  The first data
     line is the header ``n m``; exactly *m* data lines ``u v`` follow, each
     an undirected edge with ``0 <= u, v < n``, no self-loops and no
-    duplicates in either orientation.
+    duplicates in either orientation.  Every malformed list raises
+    :class:`EdgeListError`, whose ``line`` is the 1-based offending line.
     """
-    if hasattr(source, "read"):
-        source = source.read()
-    if isinstance(source, bytes):
-        try:
-            source = source.decode("utf-8")
-        except UnicodeDecodeError as exc:
-            raise MalformedHeaderError(f"input is not UTF-8 ({exc.reason})", 1) from None
     header: tuple[int, int] | None = None
     # Only vertices with an edge get a row until the end: a parse error allocates nothing.
     rows: defaultdict[int, int] = defaultdict(int)
@@ -357,39 +345,39 @@ def from_edge_list(source: str | bytes | IO) -> Graph:
         tokens = text.split()
         if header is None:
             if len(tokens) != 2:
-                raise MalformedHeaderError(f"expected header 'n m', got {text!r}", line_no)
+                raise EdgeListError(f"expected header 'n m', got {text!r}", line_no)
             try:
                 n, m = int(tokens[0]), int(tokens[1])
             except ValueError:
-                raise MalformedHeaderError(f"non-integer header {text!r}", line_no) from None
+                raise EdgeListError(f"non-integer header {text!r}", line_no) from None
             if n < 0 or m < 0:
-                raise MalformedHeaderError(f"negative count in header {text!r}", line_no)
+                raise EdgeListError(f"negative count in header {text!r}", line_no)
             header = (n, m)
             continue
         n, m = header
         if count == m:
-            raise EdgeCountMismatchError(f"more than the declared {m} edges", line_no)
+            raise EdgeListError(f"more than the declared {m} edges", line_no)
         if len(tokens) != 2:
-            raise MalformedEdgeError(f"expected edge 'u v', got {text!r}", line_no)
+            raise EdgeListError(f"expected edge 'u v', got {text!r}", line_no)
         try:
             u, v = int(tokens[0]), int(tokens[1])
         except ValueError:
-            raise MalformedEdgeError(f"non-integer edge {text!r}", line_no) from None
+            raise EdgeListError(f"non-integer edge {text!r}", line_no) from None
         for w in (u, v):
             if not 0 <= w < n:
-                raise VertexOutOfRangeError(f"vertex {w} out of range [0, {n})", line_no)
+                raise EdgeListError(f"vertex {w} out of range [0, {n})", line_no)
         if u == v:
-            raise SelfLoopError(f"self-loop at vertex {u}", line_no)
+            raise EdgeListError(f"self-loop at vertex {u}", line_no)
         if rows[u] >> v & 1:
-            raise DuplicateEdgeError(f"duplicate edge ({u}, {v})", line_no)
+            raise EdgeListError(f"duplicate edge ({u}, {v})", line_no)
         rows[u] |= 1 << v
         rows[v] |= 1 << u
         count += 1
     if header is None:
-        raise MalformedHeaderError("missing 'n m' header", max(last_line, 1))
+        raise EdgeListError("missing 'n m' header", max(last_line, 1))
     n, m = header
     if count != m:
-        raise EdgeCountMismatchError(f"declared {m} edges, found {count}", max(last_line, 1))
+        raise EdgeListError(f"declared {m} edges, found {count}", max(last_line, 1))
     adj = [0] * n
     for v, row in rows.items():
         adj[v] = row

@@ -140,10 +140,6 @@ class PropagationTrace:
     def forces(self) -> tuple[tuple[int, int], ...]:
         return tuple(f for rnd in self.rounds for f in rnd)
 
-    @property
-    def sources(self) -> VertexSet:
-        return self.initial - self.dominated
-
 
 @dataclass(frozen=True)
 class ForcingChainDecomposition:

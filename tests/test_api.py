@@ -42,13 +42,12 @@ PUBLIC = [
     "AUDIT_BOUNDS", "ApexTerminalReport", "BoundHypothesisError", "BoundReport",
     "CertificationError",
     "CompositionBound", "DEFAULT_CG_GUARD", "DEFAULT_EXHAUSTIVE_GUARD", "DEFAULT_FORT_GUARD",
-    "DEFAULT_ORACLE_GUARD", "DEFAULT_TERMINAL_CAP", "DuplicateEdgeError",
-    "EdgeCountMismatchError", "EdgeListError", "ForcingChainDecomposition", "Fort", "Graph",
+    "DEFAULT_ORACLE_GUARD", "DEFAULT_TERMINAL_CAP", "EdgeListError",
+    "ForcingChainDecomposition", "Fort", "Graph",
     "GraphError", "GuardExceededError", "InconsistentTraceError", "IndexMap",
-    "InfeasibleError", "LeafClassification", "LeafSupports",
-    "MalformedEdgeError", "MalformedHeaderError", "NotATreeError", "PdzfError",
-    "PendantComposition", "PropagationTrace", "SelfLoopError", "SolveResult", "TreePart",
-    "TreeSplit", "VertexOutOfRangeError", "VertexSet", "__version__", "apex_over",
+    "InfeasibleError", "LeafClassification", "LeafSupports", "NotATreeError", "PdzfError",
+    "PendantComposition", "PropagationTrace", "SolveResult", "TreePart",
+    "TreeSplit", "VertexSet", "__version__", "apex_over",
     "attach_leaves", "audit", "brute_force_min", "centroid", "certify",
     "check_apex_terminal",
     "component_sum_pd", "component_sum_zf", "compose_boundary_pd", "compose_pendant_zf",
@@ -78,7 +77,7 @@ MODULES = [
 
 class TestSurface:
     def test_names_are_pinned_and_unique(self):
-        assert len(PUBLIC) == 87
+        assert len(PUBLIC) == 81
         assert sorted(pdzf.__all__) == PUBLIC
         assert len(set(pdzf.__all__)) == len(pdzf.__all__)
 

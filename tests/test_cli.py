@@ -503,6 +503,20 @@ class TestInputContract:
         assert code == 2 and out == ""
         assert err.startswith("error:") and err.count("\n") == 1
 
+    def test_graph_file_not_utf8_exits_2(self, cli, tmp_path):
+        graph = tmp_path / "g.txt"
+        graph.write_bytes(b"\xff\xfe 1\n")
+        code, out, err = cli(["solve", "--graph", str(graph)])
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
+
+    def test_stdin_not_utf8_exits_2(self):
+        code = "from pdzf.cli import main; raise SystemExit(main(['solve']))"
+        proc = fresh_python(code, stdin=b"\xff\xfe 1\n")
+        assert proc.returncode == 2 and proc.stdout == b""
+        assert proc.stderr.startswith(b"error:") and proc.stderr.count(b"\n") == 1
+        assert b"Traceback" not in proc.stderr
+
     def test_file_matches_stdin(self, cli, tmp_path):
         spec = tmp_path / "spec.json"
         spec.write_text(json.dumps({"base": C4, "x": [0, 1], "t": [2, 3]}))

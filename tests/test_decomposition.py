@@ -101,8 +101,7 @@ class TestTreeSplit:
         split = tree_split(generate("star", (5,)), 0)
         assert len(split.parts) == 5
         assert all(p.graph.n == 2 for p in split.parts)
-        assert split.active == (0, 1, 2, 3, 4)
-        assert split.idle == split.costly == ()
+        assert [p.role for p in split.parts] == ["active"] * 5
 
     def test_validation(self):
         with pytest.raises(NotATreeError):

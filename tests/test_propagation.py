@@ -58,7 +58,7 @@ class TestClosures:
         assert trace.rounds == (((0, 1),), ((1, 2),), ((2, 3),))
         assert list(trace.final) == [0, 1, 2, 3]
         assert not trace.dominated
-        assert trace.sources == trace.initial
+        assert trace.initial - trace.dominated == trace.initial
 
     def test_star_center_cannot_force(self):
         g = generate("star", (3,))
@@ -71,7 +71,7 @@ class TestClosures:
         trace = pd_observe(g, g.vertex_set([1]))
         assert list(trace.initial) == [0, 1, 2]
         assert list(trace.dominated) == [0, 2]
-        assert list(trace.sources) == [1]
+        assert list(trace.initial - trace.dominated) == [1]
         assert trace.forces == ((2, 3), (3, 4), (4, 5))
 
     def test_simultaneous_forces_share_a_round(self):

@@ -18,14 +18,15 @@ from pdzf.graph import bits
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
 
-def fresh_python(code: str, argv=(), stdin: str = "") -> subprocess.CompletedProcess:
+def fresh_python(code: str, argv=(), stdin: str | bytes = "") -> subprocess.CompletedProcess:
     """Run *code* with *argv* in a new interpreter that imports pdzf from
-    this checkout, so that no module is loaded before the code runs."""
+    this checkout, so that no module is loaded before the code runs.
+    With *stdin* as bytes, the streams are bytes too."""
     return subprocess.run(
         [sys.executable, "-c", code, *argv],
         input=stdin,
         capture_output=True,
-        text=True,
+        text=isinstance(stdin, str),
         env={**os.environ, "PYTHONPATH": SRC},
         timeout=60,
     )

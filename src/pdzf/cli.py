@@ -55,11 +55,17 @@ def _parse_set(text: str | None, graph: Graph) -> VertexSet:
 
 
 def _read(path: str | None) -> str:
-    """The text of the file at *path*, or of standard input without one."""
+    """The text of the file at *path*, or of standard input without one.
+
+    Both are read as bytes and decoded as strict UTF-8, whatever the
+    locale, with their line breaks kept, so an input gets the same answer
+    however it is passed."""
     if path:
-        with open(path, "r", encoding="utf-8") as handle:
-            return handle.read()
-    return sys.stdin.read()
+        with open(path, "rb") as handle:
+            data = handle.read()
+    else:
+        data = sys.stdin.buffer.read()
+    return data.decode("utf-8")
 
 
 def _digest(graph: Graph) -> str:

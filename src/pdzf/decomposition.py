@@ -19,12 +19,14 @@ from dataclasses import dataclass
 
 from .constructions import apex_over
 from .errors import BoundHypothesisError, CertificationError, GraphError, NotATreeError
+from .forts import _forest_rooting
 from .graph import Graph, IndexMap, VertexSet, bits
 from .propagation import DEFAULT_TERMINAL_CAP, certify, enumerate_terminal_sets
 from .propagation import is_zero_forcing_set
 from .solver import (
     DEFAULT_CG_GUARD,
     SolveResult,
+    _cg,
     _cg_parts,
     _lift_deleted,
     restricted_pd_number,
@@ -153,16 +155,13 @@ def centroid(tree: Graph) -> int:
     """
     if not tree.is_tree():
         raise NotATreeError("centroid needs a tree")
-    adj, n = tree.adj, tree.n
-    parent = [0] * n
-    order = [0]
-    seen = 1
-    for v in order:
-        children = adj[v] & ~seen
-        seen |= children
-        for w in bits(children):
-            parent[w] = v
-            order.append(w)
+    return _centroid(tree)
+
+
+def _centroid(tree: Graph) -> int:
+    """``centroid`` of a graph the caller has checked to be a tree."""
+    n = tree.n
+    parent, order = _forest_rooting(tree.adj, (1 << n) - 1)
     size = [1] * n
     heaviest = [0] * n
     for v in reversed(order[1:]):
@@ -177,9 +176,9 @@ def centroid(tree: Graph) -> int:
     return best
 
 
-def _solve_task(graph: Graph, members: tuple[int, ...], guard: int) -> SolveResult:
+def _solve_task(parts: list, x: VertexSet) -> SolveResult:
     # Branches are leafy trees, where minimum-fort cuts are far stronger.
-    return restricted_pd_number(graph, graph.vertex_set(members), min_forts=True, guard=guard)
+    return _cg(parts, x, "pd", True)
 
 
 def tree_split(
@@ -193,10 +192,13 @@ def tree_split(
 
     The split vertex must have degree at least two; by default it is the
     centroid, and a tree of at most two vertices is left unsplit (within
-    ``guard``) for ``result`` to solve directly.  Each branch yields three
-    independent subproblems, all solved in the calling process.  ``jobs``
-    has no effect; it must be positive and is kept only so that existing
-    callers that pass it keep working.
+    ``guard``) for ``result`` to solve directly.  Each branch is the part
+    of the tree that a neighbour of the split vertex reaches without it,
+    in neighbour id order, and yields three independent subproblems, all
+    solved in the calling process; the anchored and free solves share one
+    split of the branch into constraint-generation parts.  ``jobs`` has no
+    effect; it must be positive and is kept only so that existing callers
+    that pass it keep working.
     """
     if not tree.is_tree():
         raise NotATreeError("tree splitting needs a tree")
@@ -206,18 +208,27 @@ def tree_split(
         if tree.n <= 2:
             _cg_parts(tree, guard)
             return TreeSplit(tree, None, ())
-        vertex = centroid(tree)
+        vertex = _centroid(tree)
     if tree.degree(vertex) < 2:
         raise GraphError("the split vertex must have degree at least 2")
-    rest, rest_ids = tree.induced_subgraph(tree.vertex_set((vertex,)).complement())
-    branches = [rest_ids.lift(c).mask for c in rest.components()]
+    adj = tree.adj
+    cut = 1 << vertex
     parts = []
-    for branch in sorted(branches, key=lambda b: b & tree.adj[vertex]):  # by the neighbor of v
-        sub, index = tree.induced_subgraph(VertexSet.from_mask(tree.n, branch | 1 << vertex))
-        anchor = index.to_old.index(vertex)
-        anchored = _solve_task(sub, (anchor,), guard)
-        free = _solve_task(sub, (), guard)
-        deleted = _solve_task(sub.delete_vertex(anchor), (), guard)
+    for w in bits(adj[vertex]):
+        # The branch of w: every vertex that w reaches without the split vertex.
+        branch, todo = 0, 1 << w
+        while todo:
+            low = todo & -todo
+            todo ^= low
+            branch |= low
+            todo |= adj[low.bit_length() - 1] & ~branch & ~cut
+        sub, index = tree.induced_subgraph(VertexSet.from_mask(tree.n, branch | cut))
+        anchor = (branch & cut - 1).bit_count()
+        shared = _cg_parts(sub, guard)
+        anchored = _solve_task(shared, sub.vertex_set((anchor,)))
+        free = _solve_task(shared, sub.vertex_set())
+        rest = sub.delete_vertex(anchor)
+        deleted = _solve_task(_cg_parts(rest, guard), rest.vertex_set())
         parts.append(TreePart(sub, index, anchor, anchored, free, deleted))
     return TreeSplit(tree=tree, vertex=vertex, parts=tuple(parts))
 

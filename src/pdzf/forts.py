@@ -120,25 +120,16 @@ def _lex_fort_of_size(adj: tuple[int, ...], cand_mask: int, size: int) -> int | 
     return descend(0, 0, 0, cand_mask)
 
 
-def _forest_min_fort(adj: tuple[int, ...], cand: int) -> int | None:
-    """Mask of the least-weight fort inside *cand*, 0 if there is none, or
-    None when the candidates and their neighbours do not induce a forest.
+def _forest_rooting(adj: tuple[int, ...], cand: int) -> tuple[list[int], list[int]] | None:
+    """Parents (-1 at a root) and a breadth-first order of the forest that the
+    edges with a candidate end span, or None when they close a cycle.
 
-    Only edges with a candidate end matter (a fort lies inside *cand*), so
-    the walk drops the others and roots every tree of what remains.  A
-    post-order pass keeps four totals per vertex v: A with v in the fort;
-    B0, B1, B2 with v outside and 0 (subtree still nonempty), 1 or at least
-    2 members among its children.  A child of a member is a member or
-    sees at least one member below it; a child of a non-member sees 0 or at
-    least 2; the other children stay empty, which costs nothing.
-
-    Vertex v weighs ``2**n - 2**(n-1-v)``, so the least total has the
-    fewest members and, among those, the lexicographically least; the
-    total decodes back to that mask.
+    Only the candidates and their neighbours are reached, and each tree is
+    rooted at its lowest id.  With every vertex a candidate this roots the
+    whole graph, and that rooting also serves every candidate set: see
+    ``_forest_min_fort``.
     """
     n = len(adj)
-    top = 1 << n
-    inf = n + 1 << n  # above every feasible total
     near = cand
     scan = cand
     while scan:
@@ -171,6 +162,43 @@ def _forest_min_fort(adj: tuple[int, ...], cand: int) -> int | None:
                 parent[w] = u
                 order.append(w)
         unseen = near & ~seen
+    return parent, order
+
+
+def _rooting(graph: Graph, cand: int) -> tuple[list[int], list[int]] | None:
+    """The rooting ``_forest_min_fort`` walks for *cand*: on a forest the
+    graph's own, made on the first call and kept on the graph (which is
+    immutable), else one along the edges with a candidate end."""
+    rooted = graph._rooting
+    if rooted is None:
+        rooted = graph._rooting = _forest_rooting(graph.adj, (1 << graph.n) - 1) or ()
+    return rooted or _forest_rooting(graph.adj, cand)
+
+
+def _forest_min_fort(adj: tuple[int, ...], cand: int, rooting: tuple[list[int], list[int]]) -> int:
+    """Mask of the least-weight fort inside *cand*, or 0 if there is none,
+    on a forest spanned by the edges with a candidate end.
+
+    Only those edges matter (a fort lies inside *cand*), so the walk drops
+    the others.  *rooting* is ``_forest_rooting`` of *cand*, or of every
+    vertex when the whole graph is a forest: the pass takes a vertex as a
+    root when its parent edge has no candidate end, so either rooting gives
+    the same trees, apart from the vertices that are neither candidates nor
+    next to one, which stay roots of their own with no finite total.  A
+    post-order pass keeps four totals per vertex v: A with v in the fort;
+    B0, B1, B2 with v outside and 0 (subtree still nonempty), 1 or at least
+    2 members among its children.  A child of a member is a member or sees
+    at least one member below it; a child of a non-member sees 0 or at
+    least 2; the other children stay empty, which costs nothing.
+
+    Vertex v weighs ``2**n - 2**(n-1-v)``, so the least total has the
+    fewest members and, among those, the lexicographically least; the
+    total decodes back to that mask, whatever the roots.
+    """
+    parent, order = rooting
+    n = len(adj)
+    top = 1 << n
+    inf = n + 1 << n  # above every feasible total
     in_sum = [0] * n  # sum over children of min(A, B1, B2)
     out_one = [inf] * n  # min over children of min(B0, B2)
     first = [inf] * n  # the two smallest child A
@@ -179,11 +207,16 @@ def _forest_min_fort(adj: tuple[int, ...], cand: int) -> int | None:
     # B2 = first + second is never below B1 = first, so min(A, B1, B2) is
     # min(A, B1).
     for v in reversed(order):
-        a = top - (top >> v + 1) + in_sum[v] if cand >> v & 1 else inf
+        p = parent[v]
+        if cand >> v & 1:
+            a = top - (top >> v + 1) + in_sum[v]
+        else:
+            a = inf
+            if p >= 0 and not cand >> p & 1:
+                p = -1
         b0 = out_one[v]
         b1 = first[v]
         b2 = b1 + second[v]
-        p = parent[v]
         if p < 0:
             if a < best:
                 best = a
@@ -211,15 +244,16 @@ def minimum_violated_fort(graph: Graph, forbidden: VertexSet) -> Fort:
 
     When the candidates (the vertices outside *forbidden*) and their
     neighbours induce a forest, as on every tree, one linear dynamic
-    program finds it (``_forest_min_fort``).  Otherwise, when a cycle
-    touches the candidates, a branch and bound over vertex inclusion runs
-    for each size 1, 2, ...: members are chosen in increasing id order,
-    outside vertices that currently see exactly one member must be
-    fixable by a later choice, and pairwise-disjoint fix sets bound the
-    number of additions still required.  Either answer is certified: a
-    nonempty fort inside the candidates, or, when none is found, a
-    forbidden set whose forcing closure is every vertex, since a set meets
-    every fort exactly when it forces the graph.
+    program finds it (``_forest_min_fort``); on a graph that is a forest
+    it walks the graph's own rooting, made once per graph.  Otherwise,
+    when a cycle touches the candidates, a branch and bound over vertex
+    inclusion runs for each size 1, 2, ...: members are chosen in
+    increasing id order, outside vertices that currently see exactly one
+    member must be fixable by a later choice, and pairwise-disjoint fix
+    sets bound the number of additions still required.  Either answer is
+    certified: a nonempty fort inside the candidates, or, when none is
+    found, a forbidden set whose forcing closure is every vertex, since a
+    set meets every fort exactly when it forces the graph.
 
     Two shortcuts in that search keep the answer the one a plain scan
     would return.
@@ -235,7 +269,8 @@ def minimum_violated_fort(graph: Graph, forbidden: VertexSet) -> Fort:
     adj, n = graph.adj, graph.n
     full = (1 << n) - 1
     cand_mask = full & ~forbidden.mask
-    found = _forest_min_fort(adj, cand_mask)
+    rooting = _rooting(graph, cand_mask)
+    found = None if rooting is None else _forest_min_fort(adj, cand_mask, rooting)
     if found is None:
         # Only a cycle that touches the candidates gets here: from
         # reduction_pd_number, ``pdzf forts --x`` and min_forts=True on a

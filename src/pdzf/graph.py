@@ -191,10 +191,12 @@ class Graph:
     """A simple undirected graph on vertices ``0..n-1``.
 
     ``adj[v]`` is the neighbor bitmask of ``v``.  Instances are immutable;
-    every editing operation returns a new graph.
+    every editing operation returns a new graph.  ``_rooting`` starts as
+    None; the fort search fills it in with the graph's rooting as a forest
+    (``forts._rooting``), which depends on ``adj`` alone.
     """
 
-    __slots__ = ("n", "adj")
+    __slots__ = ("n", "adj", "_rooting")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]] = ()) -> None:
         if n < 0:
@@ -211,12 +213,14 @@ class Graph:
             adj[v] |= 1 << u
         self.n = n
         self.adj = tuple(adj)
+        self._rooting = None
 
     @classmethod
     def _from_masks(cls, n: int, adj: tuple[int, ...]) -> "Graph":
         obj = cls.__new__(cls)
         obj.n = n
         obj.adj = adj
+        obj._rooting = None
         return obj
 
     @property

@@ -155,7 +155,7 @@ class _RowPool(list):
         """Append a cut and drop the rows it implies, its supersets; the rows
         after a dropped row move down one index, in ``col`` as in the list."""
         self._checked(row)
-        if any(q & row == q for q in self):
+        if 0 in [q & ~row for q in self]:
             raise CertificationError("cut already implied by the pool")
         for i in reversed([i for i, q in enumerate(self) if row & q == row]):
             del self[i]
@@ -172,7 +172,7 @@ def _cover_exact(n: int, degs: tuple[int, ...], rows: list[int], forced: int) ->
     (rows hit descending, then degree descending, then id: the sort is
     stable), banning each tried vertex from later siblings so no solution
     is enumerated twice; pairwise-disjoint uncovered rows give the lower
-    bound.
+    bound, and their packing stops once it reaches the bound that prunes.
 
     The rows are numbered in their given order (a ``_RowPool`` brings its
     transpose, a plain list is transposed here), a set of them is an int
@@ -223,6 +223,9 @@ def _cover_exact(n: int, degs: tuple[int, ...], rows: list[int], forced: int) ->
     def dfs(chosen: int, size: int, todo: int, banned: int) -> None:
         nonlocal best, best_size, nodes
         nodes += 1
+        need = best_size - size
+        if need <= 0:  # only the root, when no row is uncovered
+            return
         pick_size = n + 1
         taken = 0
         lower = 0
@@ -236,14 +239,19 @@ def _cover_exact(n: int, degs: tuple[int, ...], rows: list[int], forced: int) ->
             if a & taken == 0:
                 taken |= a
                 lower += 1
-        if size + lower >= best_size:
-            return
-        if size + 2 == best_size:
+                if lower == need:
+                    return
+        if need == 2:
             nodes += pick_size
-            covering = [v for v in bits(pick) if col[v] & todo == todo]
-            if covering:
-                v = max(covering, key=lambda v: (degs[v], -v))
-                best, best_size = chosen | 1 << v, size + 1
+            best_v = best_deg = -1
+            while pick:
+                low = pick & -pick
+                pick ^= low
+                v = low.bit_length() - 1
+                if degs[v] > best_deg and col[v] & todo == todo:
+                    best_v, best_deg = v, degs[v]
+            if best_v >= 0:
+                best, best_size = chosen | 1 << best_v, size + 1
             return
         for v in sorted(bits(pick), key=lambda v: (-(col[v] & todo).bit_count(), -degs[v])):
             vbit = 1 << v

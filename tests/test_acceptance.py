@@ -5,7 +5,6 @@ verbose run reads as a checklist.  Frozen values were cross-checked by
 an independent brute-force implementation before being pinned here.
 """
 
-import io
 import itertools
 import json
 import random
@@ -54,7 +53,7 @@ from pdzf.cli import main
 from pdzf.propagation import final_mask
 from pdzf.graph import VertexSet
 
-from util import graph_sweep, random_connected_graph, random_subset, random_tree
+from util import graph_sweep, random_connected_graph, random_subset, random_tree, stdin_of
 
 
 def ok(line):
@@ -393,7 +392,7 @@ def test_c8_cli_determinism(monkeypatch, capsys):
     """Every subcommand prints byte-identical JSON apart from the runtime field."""
 
     def run(argv, stdin=""):
-        monkeypatch.setattr(sys, "stdin", io.StringIO(stdin))
+        monkeypatch.setattr(sys, "stdin", stdin_of(stdin))
         code = main(argv)
         out, err = capsys.readouterr()
         assert code == 0, err

@@ -1,6 +1,5 @@
 """Certification: every assembled answer is replayed, also under ``python -O``."""
 
-import io
 import os
 import subprocess
 import sys
@@ -21,6 +20,8 @@ from pdzf import (
     tree_split,
 )
 from pdzf.cli import main
+
+from util import stdin_of
 
 
 class TestCertify:
@@ -123,7 +124,7 @@ def test_broken_answers_raise_under_python_O():
 
 def test_cli_reports_a_failed_certificate_as_one_error_line(monkeypatch, capsys):
     monkeypatch.setattr(solver, "_cg", with_leaf(solver._cg))
-    monkeypatch.setattr(sys, "stdin", io.StringIO("5 4\n0 1\n1 2\n2 3\n3 4\n"))
+    monkeypatch.setattr(sys, "stdin", stdin_of("5 4\n0 1\n1 2\n2 3\n3 4\n"))
     code = main(["solve", "--method", "reduction", "--x", "2"])
     out, err = capsys.readouterr()
     assert code == 2 and out == ""
@@ -136,7 +137,7 @@ def test_oracle_that_finds_no_feasible_superset_raises(monkeypatch, capsys):
     monkeypatch.setattr(solver, "final_step", lambda adj, mode: lambda cl, v: cl)
     with pytest.raises(CertificationError, match="no superset of X propagates"):
         solver.minimum_solutions(generate("path", (4,)), None, "zf")
-    monkeypatch.setattr(sys, "stdin", io.StringIO("4 3\n0 1\n1 2\n2 3\n"))
+    monkeypatch.setattr(sys, "stdin", stdin_of("4 3\n0 1\n1 2\n2 3\n"))
     code = main(["solve", "--method", "oracle", "--mode", "zf"])
     out, err = capsys.readouterr()
     assert code == 2 and out == ""

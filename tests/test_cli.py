@@ -1,7 +1,6 @@
 """Command line surface: envelopes, payloads, exit codes, determinism."""
 
 import hashlib
-import io
 import json
 import os
 import sys
@@ -21,7 +20,7 @@ from pdzf import (
 )
 from pdzf.cli import main
 
-from util import fresh_python, tree_sweep
+from util import fresh_python, stdin_of, tree_sweep
 
 P3 = "3 2\n0 1\n1 2\n"
 P5 = "5 4\n0 1\n1 2\n2 3\n3 4\n"
@@ -31,7 +30,7 @@ C4 = "4 4\n0 1\n0 3\n1 2\n2 3\n"
 @pytest.fixture
 def cli(monkeypatch, capsys):
     def run(argv, stdin=""):
-        monkeypatch.setattr(sys, "stdin", io.StringIO(stdin))
+        monkeypatch.setattr(sys, "stdin", stdin_of(stdin))
         code = main(argv)
         out, err = capsys.readouterr()
         return code, out, err
@@ -461,6 +460,10 @@ P4 = "4 3\n0 1\n1 2\n2 3\n"
 MISSING = os.path.join(os.path.dirname(os.path.abspath(__file__)), "no-such-spec.json")
 
 
+# The CLI in a new interpreter, reading a real standard input.
+MAIN = "import sys; from pdzf.cli import main; raise SystemExit(main(sys.argv[1:]))"
+
+
 class TestInputContract:
     @pytest.mark.parametrize(
         "argv,stdin",
@@ -516,6 +519,33 @@ class TestInputContract:
         assert proc.returncode == 2 and proc.stdout == b""
         assert proc.stderr.startswith(b"error:") and proc.stderr.count(b"\n") == 1
         assert b"Traceback" not in proc.stderr
+
+    @pytest.mark.parametrize("locale", ["C", "C.UTF-8"])
+    def test_stdin_decodes_as_the_file_does(self, tmp_path, locale):
+        # A valid edge list but for one Latin-1 byte in its comment: the
+        # POSIX locale's standard input would take it, a file read would not.
+        data = b"# caf\xe9\n2 1\n0 1\n"
+        graph = tmp_path / "g.txt"
+        graph.write_bytes(data)
+        env = {"LC_ALL": locale}
+        piped = fresh_python(MAIN, ["solve"], data, env)
+        read = fresh_python(MAIN, ["solve", "--graph", str(graph)], b"", env)
+        for proc in (piped, read):
+            assert proc.returncode == 2 and proc.stdout == b""
+            assert proc.stderr.startswith(b"error:") and proc.stderr.count(b"\n") == 1
+            assert b"Traceback" not in proc.stderr
+        assert piped.stderr == read.stderr
+
+    def test_line_breaks_read_alike(self, tmp_path):
+        # A spec broken by bare carriage returns and missing a bracket: the
+        # error names the same line and column however the spec is passed.
+        data = b'{"base": "3 2\\n0 1\\n1 2\\n",\r "x": [0,\r "t": [1]}'
+        spec = tmp_path / "spec.json"
+        spec.write_bytes(data)
+        piped = fresh_python(MAIN, ["compose", "apex"], data)
+        read = fresh_python(MAIN, ["compose", "apex", "--spec", str(spec)], b"")
+        assert piped.returncode == read.returncode == 2
+        assert piped.stderr == read.stderr and piped.stderr.startswith(b"error:")
 
     def test_file_matches_stdin(self, cli, tmp_path):
         spec = tmp_path / "spec.json"

@@ -17,13 +17,15 @@ from hypothesis import strategies as st
 from pdzf import family_names, from_edge_list
 from pdzf.cli import main
 
+from util import stdin_of
+
 
 def run(argv, stdin, guard=None):
     """Call ``main`` in-process with PDZF_GUARD_N set to *guard* (unset
     when None); return the exit code, standard output and standard error."""
     out, err = io.StringIO(), io.StringIO()
     saved = sys.stdin, os.environ.pop("PDZF_GUARD_N", None)
-    sys.stdin = io.StringIO(stdin)
+    sys.stdin = stdin_of(stdin)
     if guard is not None:
         os.environ["PDZF_GUARD_N"] = guard
     try:

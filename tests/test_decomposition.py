@@ -23,6 +23,7 @@ from pdzf import (
     leaf_classify,
     mandatory_vertices,
     minimum_solutions,
+    restricted_pd_number,
     restricted_zf_number,
     tree_pd_parallel,
     tree_split,
@@ -96,6 +97,33 @@ class TestTreeSplit:
             assert res.value == expected
             assert len(res.witness) == expected
             assert is_power_dominating_set(t, res.witness)
+
+    def test_parts_match_the_public_solve(self):
+        # Larger trees than the pinned answers cover: each branch solve,
+        # run on parts shared between the anchored and free solves, equals
+        # the public solve of a fresh copy of the same branch graph.
+        rng = random.Random(71)
+        for _ in range(30):
+            t = random_tree(rng.randint(15, 40), rng)
+            split = tree_split(t)
+            # The branches are the components of T - v, by their neighbour of v.
+            v = split.vertex
+            rest, ids = t.induced_subgraph(t.vertex_set((v,)).complement())
+            branches = sorted((ids.lift(c) for c in rest.components()), key=lambda c: c.mask & t.adj[v])
+            assert [p.index.lift(p.graph.full_set()) for p in split.parts] == [
+                b | t.vertex_set((v,)) for b in branches
+            ]
+            assert all(p.index.to_old[p.anchor] == v for p in split.parts)
+            for part in split.parts:
+                g = part.graph
+                anchored = restricted_pd_number(Graph(g.n, g.edges()), (part.anchor,), min_forts=True)
+                free = restricted_pd_number(Graph(g.n, g.edges()), min_forts=True)
+                deleted = g.delete_vertex(part.anchor)
+                deleted = restricted_pd_number(Graph(deleted.n, deleted.edges()), min_forts=True)
+                for got, want in zip((part.anchored, part.free, part.deleted), (anchored, free, deleted)):
+                    assert (got.value, got.witness, got.cuts_added, got.nodes) == (
+                        want.value, want.witness, want.cuts_added, want.nodes
+                    )
 
     def test_branch_counts(self):
         split = tree_split(generate("star", (5,)), 0)

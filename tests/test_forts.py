@@ -19,7 +19,7 @@ from pdzf import (
     zf_closure,
 )
 from pdzf import forts
-from pdzf.forts import _forest_min_fort, _lex_fort_of_size
+from pdzf.forts import _forest_min_fort, _forest_rooting, _lex_fort_of_size, _rooting
 
 from util import (
     graph_sweep,
@@ -52,6 +52,12 @@ def size_loop_fort(graph, cand):
         if found is not None:
             return found
     return 0
+
+
+def forest_dp(graph, cand):
+    """The forest program on its own rooting of *cand*, None on a cycle."""
+    rooting = _forest_rooting(graph.adj, cand)
+    return None if rooting is None else _forest_min_fort(graph.adj, cand, rooting)
 
 
 def enumeration_fort(graph, cand):
@@ -199,18 +205,56 @@ class TestForestMinFort:
             n = rng.randint(1, 16 if k % 10 == 0 else 11)
             g = random_forest(n, rng)
             cand = g.vertex_set(random_subset(n, rng, rng.randint(0, n))).mask
-            found = _forest_min_fort(g.adj, cand)
+            found = forest_dp(g, cand)
             assert found == size_loop_fort(g, cand) == enumeration_fort(g, cand)
         # Every candidate set of every tree on at most 8 vertices.
         for g in tree_sweep(8):
             for cand in range(1 << g.n):
-                assert _forest_min_fort(g.adj, cand) == size_loop_fort(g, cand)
+                assert forest_dp(g, cand) == size_loop_fort(g, cand)
+
+    def test_the_graph_rooting_serves_every_candidate_set(self):
+        # Every forest on at most 8 vertices, one per isomorphism class (a
+        # multiset of trees), with its ids shuffled so that the roots of the
+        # whole graph differ from the roots a candidate set's walk picks.
+        trees = tree_sweep(8)
+        forests = []
+
+        def grow(parts, first, room):
+            forests.append(parts)
+            for i in range(first, len(trees)):
+                if trees[i].n <= room:
+                    grow(parts + [trees[i]], i, room - trees[i].n)
+
+        grow([], 0, 8)
+        forests.pop(0)  # the empty forest
+        assert len(forests) == 155
+        rng = random.Random(5)
+        for parts in forests:
+            n = sum(t.n for t in parts)
+            ids = list(range(n))
+            rng.shuffle(ids)
+            edges, base = [], 0
+            for t in parts:
+                edges.extend((ids[base + u], ids[base + v]) for u, v in t.edges())
+                base += t.n
+            g = Graph(n, edges)
+            for cand in range(1 << n):
+                rooting = _rooting(g, cand)
+                assert rooting is g._rooting == _forest_rooting(g.adj, (1 << n) - 1)
+                assert _forest_min_fort(g.adj, cand, rooting) == forest_dp(g, cand)
+
+    def test_a_graph_with_a_cycle_keeps_no_rooting(self):
+        g = TRIANGLE_WITH_TAILS
+        cand = g.vertex_set([0, 1, 2]).complement().mask
+        assert _rooting(g, cand) == _forest_rooting(g.adj, cand)
+        assert g._rooting == ()
+        assert _rooting(g, (1 << g.n) - 1) is None
 
     def test_cycle_among_forbidden_vertices_keeps_the_dp(self):
         g = TRIANGLE_WITH_TAILS
         forbidden = g.vertex_set([0, 1, 2])
         cand = forbidden.complement().mask
-        found = _forest_min_fort(g.adj, cand)
+        found = forest_dp(g, cand)
         assert found == size_loop_fort(g, cand) == enumeration_fort(g, cand) == 0b11000
         assert minimum_violated_fort(g, forbidden).members.mask == found
 
@@ -220,14 +264,14 @@ class TestForestMinFort:
         g = TRIANGLE_WITH_TAILS
         for forbidden in ([0], [1], []):
             cand = g.vertex_set(forbidden).complement().mask
-            assert _forest_min_fort(g.adj, cand) is None
+            assert forest_dp(g, cand) is None
             found = minimum_violated_fort(g, g.vertex_set(forbidden)).members.mask
             assert found == size_loop_fort(g, cand) == enumeration_fort(g, cand)
 
     def test_long_path(self):
         n = 1000
         g = generate("path", (n,))
-        assert _forest_min_fort(g.adj, (1 << n) - 1) is not None
+        assert forest_dp(g, (1 << n) - 1) is not None
         fort = minimum_violated_fort(g, g.vertex_set([]))
         assert fort.members.members() == (0, *range(1, n, 2))
         assert len(fort.members) == n // 2 + 1
@@ -237,7 +281,7 @@ class TestForestMinFort:
         with pytest.raises(InfeasibleError):
             minimum_violated_fort(g, g.full_set())
         # {0} alone leaves vertex 1 seeing one member; no fort fits.
-        assert _forest_min_fort(g.adj, 0b001) == 0
+        assert forest_dp(g, 0b001) == 0
         with pytest.raises(InfeasibleError):
             minimum_violated_fort(g, g.vertex_set([1, 2]))
 
@@ -245,14 +289,14 @@ class TestForestMinFort:
         g = generate("path", (5,))
         none = g.vertex_set([])
         for wrong in (0b00001, 0b100000, 0):
-            monkeypatch.setattr(forts, "_forest_min_fort", lambda adj, cand, m=wrong: m)
+            monkeypatch.setattr(forts, "_forest_min_fort", lambda adj, cand, rooting, m=wrong: m)
             with pytest.raises(CertificationError):
                 minimum_violated_fort(g, none)
 
     def test_a_wrong_fallback_fort_raises(self, monkeypatch):
         # On a cycle the forest program gives way to the size-by-size search.
         g = generate("cycle", (6,))
-        assert _forest_min_fort(g.adj, (1 << 6) - 1) is None
+        assert forest_dp(g, (1 << 6) - 1) is None
         # {0} is no fort: vertices 1 and 5 each see exactly one member.
         monkeypatch.setattr(forts, "_lex_fort_of_size", lambda adj, cand, size: 0b1)
         with pytest.raises(CertificationError):

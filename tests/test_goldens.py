@@ -12,7 +12,6 @@ gate over several seeds, and a test here checks that those seeds pick
 every one of them.
 """
 
-import io
 import json
 import os
 import sys
@@ -21,7 +20,7 @@ import pytest
 
 from pdzf.cli import main
 
-from util import SRC
+from util import SRC, stdin_of
 
 CORPUS = os.path.join(os.path.dirname(SRC), "perfbench", "corpus.json")
 
@@ -43,7 +42,7 @@ CASES = [
 @pytest.mark.parametrize("case", CASES)
 def test_cli_answer_matches_its_golden(case, monkeypatch, capsys):
     monkeypatch.delenv("PDZF_GUARD_N", raising=False)
-    monkeypatch.setattr(sys, "stdin", io.StringIO(case["stdin"]))
+    monkeypatch.setattr(sys, "stdin", stdin_of(case["stdin"]))
     code = main(case["argv"])
     out, err = capsys.readouterr()
     assert code == case["exit"], err

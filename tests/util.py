@@ -1,10 +1,11 @@
 """Shared test helpers: seeded generators, a small-graph sweep,
 full-rescan reference implementations of the forcing traces and the
-terminal-set enumeration, a set-cover search that enters every node, and
-a fresh interpreter."""
+terminal-set enumeration, a set-cover search that enters every node, a
+byte-backed standard input and a fresh interpreter."""
 
 from __future__ import annotations
 
+import io
 import os
 import random
 import subprocess
@@ -18,18 +19,26 @@ from pdzf.graph import bits
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
 
-def fresh_python(code: str, argv=(), stdin: str | bytes = "") -> subprocess.CompletedProcess:
+def fresh_python(
+    code: str, argv=(), stdin: str | bytes = "", env: dict[str, str] | None = None
+) -> subprocess.CompletedProcess:
     """Run *code* with *argv* in a new interpreter that imports pdzf from
     this checkout, so that no module is loaded before the code runs.
-    With *stdin* as bytes, the streams are bytes too."""
+    With *stdin* as bytes, the streams are bytes too; *env* adds to the
+    environment."""
     return subprocess.run(
         [sys.executable, "-c", code, *argv],
         input=stdin,
         capture_output=True,
         text=isinstance(stdin, str),
-        env={**os.environ, "PYTHONPATH": SRC},
+        env={**os.environ, **(env or {}), "PYTHONPATH": SRC},
         timeout=60,
     )
+
+
+def stdin_of(text: str) -> io.TextIOWrapper:
+    """A standard input holding *text* as UTF-8 bytes, as a pipe holds it."""
+    return io.TextIOWrapper(io.BytesIO(text.encode()), encoding="utf-8")
 
 
 def random_tree(n: int, rng: random.Random) -> Graph:

@@ -10,9 +10,10 @@ what drives the constraint-generation solver.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations
 
 from .errors import CertificationError, InfeasibleError, check_guard
-from .graph import Graph, VertexSet, dominated_mask, supersets
+from .graph import Graph, VertexSet, dominated_mask
 from .propagation import closure_mask, final_mask
 
 __all__ = [
@@ -292,5 +293,9 @@ def enumerate_forts(graph: Graph, guard: int = DEFAULT_FORT_GUARD) -> list[Fort]
     """All forts, by exhaustive subset check; ordered by size then members."""
     check_guard("fort enumeration", guard, graph.n)
     adj, n = graph.adj, graph.n
-    found = (m for size in supersets(0, n) for m, _ in size if _is_fort_mask(adj, m))
-    return [Fort(VertexSet.from_mask(n, m)) for m in found]
+    return [
+        Fort(VertexSet.from_mask(n, m))
+        for k in range(n + 1)
+        for m in map(sum, combinations([1 << v for v in range(n)], k))
+        if _is_fort_mask(adj, m)
+    ]

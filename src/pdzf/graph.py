@@ -8,13 +8,11 @@ public surface deals in :class:`VertexSet` objects and plain ints.
 from __future__ import annotations
 
 from collections import defaultdict
-from typing import Callable, Iterable, Iterator, TypeVar
+from typing import Iterable, Iterator
 
 from .errors import EdgeListError, GraphError
 
 __all__ = ["VertexSet", "Graph", "IndexMap", "from_edge_list", "to_edge_list"]
-
-T = TypeVar("T")
 
 
 def bits(mask: int) -> Iterator[int]:
@@ -23,44 +21,6 @@ def bits(mask: int) -> Iterator[int]:
         low = mask & -mask
         yield low.bit_length() - 1
         mask ^= low
-
-
-def supersets(
-    mask: int, n: int, step: Callable[[T, int], T] | None = None, state: T = None
-) -> Iterator[Iterator[tuple[int, T]]]:
-    """The supersets of *mask* within ``range(n)``, one size at a time.
-
-    Yields one iterator per number of added vertices, from none to all;
-    each gives its supersets in lexicographic order of the added vertices
-    (the order of ``itertools.combinations``), as pairs ``(superset, its
-    state)``.  *mask* has state *state*, and S + v, with v above every
-    vertex added to S, has state ``step(state of S, v)``; without *step*
-    every state is *state*.  Each size is a depth first recursion: a prefix
-    is stepped once per size, and each superset costs one step from its
-    prefix.
-    """
-    if step is None:
-        step = lambda st, v: st  # noqa: E731
-    free = [v for v in range(n) if not mask >> v & 1]
-    for size in range(len(free) + 1):
-        yield _walk(free, 0, size, mask, state, step)
-
-
-def _walk(
-    free: list[int], start: int, size: int, mask: int, state: T, step
-) -> Iterator[tuple[int, T]]:
-    """The supersets of *mask* adding *size* vertices of ``free[start:]``,
-    in lexicographic order, with their states."""
-    if size == 0:
-        yield mask, state
-    elif size == 1:
-        for v in free[start:]:
-            yield mask | 1 << v, step(state, v)
-    else:
-        # The first added vertex leaves room for size - 1 after it.
-        for i in range(start, len(free) - size + 1):
-            v = free[i]
-            yield from _walk(free, i + 1, size - 1, mask | 1 << v, step(state, v), step)
 
 
 def dominated_mask(adj: tuple[int, ...], mask: int) -> int:
@@ -298,10 +258,11 @@ class Graph:
     def induced_subgraph(self, keep: VertexSet | Iterable[int]) -> tuple["Graph", IndexMap]:
         """Induced subgraph on *keep*, with ids compacted in increasing order."""
         keep = self._coerce(keep)
+        if keep.mask == (1 << self.n) - 1:
+            # The graph itself, graphs being immutable, without walking every bit.
+            return self, IndexMap(self.n, tuple(range(self.n)))
         to_old = keep.members()
         index = IndexMap(self.n, to_old)
-        if len(to_old) == self.n:
-            return self, index  # the graph itself: graphs are immutable
         adj = []
         for old in to_old:
             inside = self.adj[old] & keep.mask

@@ -24,11 +24,11 @@ than the whole graph.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain, islice
+from itertools import combinations
 
 from .constructions import attach_leaves
 from .errors import CertificationError, GraphError, check_guard
-from .graph import Graph, IndexMap, VertexSet, bits, supersets
+from .graph import Graph, IndexMap, VertexSet, bits
 from .forts import Fort, minimum_violated_fort
 from .propagation import certify, dominated_mask, final_step
 from .propagation import final_mask as _final_mask
@@ -77,10 +77,52 @@ def _prepare(graph: Graph, x) -> VertexSet:
     return graph._coerce(x)
 
 
-def _candidates(graph: Graph, x: VertexSet, mode: str):
-    """The supersets of X with their final masks, as ``supersets`` orders them."""
-    adj = graph.adj
-    return supersets(x.mask, graph.n, final_step(adj, mode), _final_mask(adj, x.mask, mode))
+def _search(mask: int, n: int, state, step, goal, every: bool) -> tuple[list[int], int]:
+    """The fewest-vertex supersets of *mask* in ``range(n)`` whose state is *goal*,
+    and how many supersets were tried, *mask* first.  *mask* has state *state*;
+    S + v, with v above S's added vertices, has ``step(state of S, v)``.  Each
+    size is one depth first search over the free vertices in the order of
+    ``itertools.combinations`` that steps each prefix once, in O(n) memory.
+    It stops at the first hit, or with *every* at the end of that hit's size.
+    """
+    free = [v for v in range(n) if not mask >> v & 1]
+    hits = [mask] if state == goal else []
+    tried = 1
+
+    def dfs(start: int, left: int, mask: int, state) -> bool:
+        nonlocal tried
+        tail = free[start:]
+        if left == 1:
+            for v in tail:
+                if step(state, v) == goal:
+                    hits.append(mask | 1 << v)
+                    if not every:
+                        tried += tail.index(v) + 1
+                        return True
+            tried += len(tail)
+            return False
+        # The first added vertex leaves room for left - 1 after it.
+        for i, v in enumerate(tail[: len(tail) - left + 1], start + 1):
+            if dfs(i, left - 1, mask | 1 << v, step(state, v)):
+                return True
+        return False
+
+    for size in range(1, len(free) + 1):
+        if hits:
+            break
+        dfs(0, size, mask, state)
+    return hits, tried
+
+
+def _oracle(graph: Graph, x: VertexSet, mode: str, every: bool) -> tuple[list[int], int]:
+    """``_search`` for the supersets of X whose final mask in *mode* is full."""
+    hits, tried = _search(
+        x.mask, graph.n, _final_mask(graph.adj, x.mask, mode), final_step(graph.adj, mode),
+        (1 << graph.n) - 1, every,
+    )
+    if not hits:
+        raise CertificationError("no superset of X propagates, not even the vertex set")
+    return hits, tried
 
 
 def brute_force_min(
@@ -92,22 +134,19 @@ def brute_force_min(
 ) -> SolveResult:
     """Minimum feasible superset of X by direct enumeration.
 
-    Supersets are tried by increasing size, lexicographically within a
-    size, so the witness is the lexicographically least optimum.  Modes:
-    "pd", "zf", "dom".
+    Supersets are tried by increasing size, lexicographically within a size,
+    so the witness is the lexicographically least optimum; ``nodes`` counts
+    the supersets tried, X first.  Modes: "pd", "zf", "dom".
     """
     x = _prepare(graph, x)
     check_guard("oracle", guard, graph.n)
-    full = (1 << graph.n) - 1
-    for tried, (mask, final) in enumerate(chain.from_iterable(_candidates(graph, x, mode)), 1):
-        if final == full:
-            return SolveResult(
-                value=mask.bit_count(),
-                witness=VertexSet.from_mask(graph.n, mask),
-                method="oracle",
-                nodes=tried,
-            )
-    raise CertificationError("no superset of X propagates, not even the vertex set")
+    (mask,), tried = _oracle(graph, x, mode, False)
+    return SolveResult(
+        value=mask.bit_count(),
+        witness=VertexSet.from_mask(graph.n, mask),
+        method="oracle",
+        nodes=tried,
+    )
 
 
 def minimum_solutions(
@@ -118,12 +157,7 @@ def minimum_solutions(
     """Every minimum feasible superset of X, in lexicographic order."""
     x = _prepare(graph, x)
     check_guard("exhaustive", DEFAULT_EXHAUSTIVE_GUARD, graph.n)
-    full = (1 << graph.n) - 1
-    for size in _candidates(graph, x, mode):
-        out = [VertexSet.from_mask(graph.n, m) for m, final in size if final == full]
-        if out:
-            return out
-    raise CertificationError("no superset of X propagates, not even the vertex set")
+    return [VertexSet.from_mask(graph.n, m) for m in _oracle(graph, x, mode, True)[0]]
 
 
 class _RowPool(list):
@@ -455,25 +489,25 @@ def z_restricted_single(graph: Graph, v: int) -> SolveResult:
 def k_restricted_number(graph: Graph, k: int, mode: str = "pd") -> tuple[int, VertexSet]:
     """Worst restricted value over all X of size k, with a maximizing X.
 
-    Enumerates every X, so ``DEFAULT_ORACLE_GUARD`` applies to n; the
+    Enumerates the X, so ``DEFAULT_ORACLE_GUARD`` applies to n; the
     maximizing X is the first in ``itertools.combinations`` order.  Mode
     "dom" solves each X by enumeration (``brute_force_min``), "pd" and
-    "zf" by constraint generation.
+    "zf" by constraint generation.  S + X is feasible for an optimum S of the
+    graph, so the loop stops at the first X that reaches min(n, value + k).
     """
     _prepare(graph, None)
     if not 0 <= k <= graph.n:
         raise GraphError(f"k must lie in [0, {graph.n}], got {k}")
     check_guard("enumeration", DEFAULT_ORACLE_GUARD, graph.n)
-    best = -1
-    best_x = VertexSet(graph.n)
     parts = _cg_parts(graph)
-    # The walk's k-th size: the k-sets in combinations order.
-    for x_mask, _ in next(islice(supersets(0, graph.n), k, None)):
+    def solve(x: VertexSet) -> SolveResult:
+        return brute_force_min(graph, x, mode) if mode == "dom" else _cg(parts, x, mode, False)
+    cap = min(graph.n, solve(VertexSet(graph.n)).value + k)
+    best, best_x = -1, None
+    for x_mask in map(sum, combinations([1 << v for v in range(graph.n)], k)):
         x = VertexSet.from_mask(graph.n, x_mask)
-        if mode == "dom":
-            value = brute_force_min(graph, x, "dom").value
-        else:
-            value = _cg(parts, x, mode, False).value
-        if value > best:
+        if (value := solve(x).value) > best:
             best, best_x = value, x
+            if best == cap:
+                break
     return best, best_x

@@ -2,6 +2,7 @@
 
 import pickle
 import random
+from collections import Counter
 from itertools import combinations
 
 import pytest
@@ -18,7 +19,7 @@ from pdzf import (
     k_restricted_number,
     to_edge_list,
 )
-from pdzf.graph import supersets
+from pdzf.solver import _search
 
 from util import random_connected_graph, random_graph
 
@@ -172,28 +173,36 @@ class TestGraph:
         assert pickle.loads(pickle.dumps(g)) == g
 
 
-class TestSupersets:
-    def test_by_size_then_lexicographic(self):
-        sizes = [[mask for mask, _ in size] for size in supersets(0b0100, 4)]
-        assert sizes == [
-            [0b0100],
-            [0b0101, 0b0110, 0b1100],
-            [0b0111, 0b1101, 0b1110],
-            [0b1111],
-        ]
+def _add(state, v):
+    return (*state, v)
 
-    def test_states_without_a_step_stay_put(self):
-        assert [pair for size in supersets(0b11, 2, state="s") for pair in size] == [(0b11, "s")]
-        assert [[*size] for size in supersets(0, 0)] == [[(0, None)]]
+
+class TestSupersets:
+    """The oracle's search over the supersets of X (``solver._search``)."""
+
+    def test_by_size_then_lexicographic(self):
+        # A mask's state is the mask itself: a goal stops the search at that
+        # superset, and the count is its position.
+        order = [0b0100, 0b0101, 0b0110, 0b1100, 0b0111, 0b1101, 0b1110, 0b1111]
+        step = lambda m, v: m | 1 << v  # noqa: E731
+        for position, goal in enumerate(order, 1):
+            assert _search(0b0100, 4, 0b0100, step, goal, False) == ([goal], position)
+            assert _search(0b0100, 4, 0b0100, step, goal, True)[0] == [goal]
+
+    def test_a_full_x_is_the_only_candidate(self):
+        assert _search(0b11, 2, "s", _add, "s", False) == ([0b11], 1)
+        assert _search(0b11, 2, "s", _add, "t", True) == ([], 1)
+        assert _search(0, 0, (), _add, (), False) == ([0], 1)
+        assert _search(0, 0, (), _add, (0,), False) == ([], 1)
 
     def test_step_sees_each_prefix_then_its_vertex(self):
         # With a step that records the added vertices, a superset's state
         # lists its added vertices in increasing order.
-        walk = supersets(0b1001, 6, lambda st, v: (*st, v), ())
-        for size in walk:
-            for mask, added in size:
-                assert mask == 0b1001 | sum(1 << v for v in added)
-                assert list(added) == sorted(added)
+        free = (1, 2, 4, 5)
+        order = [c for k in range(len(free) + 1) for c in combinations(free, k)]
+        for position, added in enumerate(order, 1):
+            mask = 0b1001 | sum(1 << v for v in added)
+            assert _search(0b1001, 6, (), _add, added, False) == ([mask], position)
 
     def test_each_prefix_is_stepped_once_per_size(self):
         rng = random.Random(23)
@@ -207,12 +216,13 @@ class TestSupersets:
                 stepped.append((*added, v))
                 return stepped[-1]
 
-            for k, size in enumerate(supersets(mask, n, step, ())):
-                stepped.clear()
+            # No state is the goal, so every size is searched to its end.
+            assert _search(mask, n, (), step, None, True) == ([], 2 ** len(free))
+            want = Counter()
+            for k in range(1, len(free) + 1):
                 combos = list(combinations(free, k))
-                assert [m for m, _ in size] == [mask | sum(1 << v for v in c) for c in combos]
-                prefixes = {c[:j] for c in combos for j in range(1, k + 1)}
-                assert sorted(stepped) == sorted(prefixes)
+                want.update({c[:j] for c in combos for j in range(1, k + 1)})
+            assert Counter(stepped) == want
 
     @pytest.mark.parametrize("mode", ["pd", "zf", "dom"])
     def test_k_restricted_maximizer_follows_combinations_order(self, mode):

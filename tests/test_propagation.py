@@ -24,8 +24,8 @@ from pdzf import (
     pd_observe,
     zf_closure,
 )
-from pdzf.graph import supersets
 from pdzf.propagation import closure_mask, dominated_mask, final_mask, final_step
+from pdzf.solver import _search
 
 from util import (
     random_connected_graph,
@@ -182,7 +182,7 @@ class TestTracesMatchTheReference:
 
 
 class TestSupersetWalk:
-    """The oracle's walk steps each superset's final mask from its prefix's."""
+    """The oracle's search steps each superset's final mask from its prefix's."""
 
     @pytest.mark.parametrize("mode", ["pd", "zf", "dom"])
     def test_states_are_final_masks_in_combinations_order(self, mode):
@@ -191,16 +191,31 @@ class TestSupersetWalk:
             n = rng.randint(1, 10)
             g = random_graph(n, rng, rng.choice((0.15, 0.3, 0.5)))
             x = g.vertex_set(random_subset(n, rng, rng.randint(0, min(n, 2)))).mask
-            walk = supersets(x, n, final_step(g.adj, mode), final_mask(g.adj, x, mode))
-            got = [pair for size in walk for pair in size]
+            step, start = final_step(g.adj, mode), final_mask(g.adj, x, mode)
             free = [v for v in range(n) if not x >> v & 1]
             order = [
                 x | sum(1 << v for v in combo)
                 for k in range(len(free) + 1)
                 for combo in combinations(free, k)
             ]
-            assert [mask for mask, _ in got] == order
-            assert got == [(mask, final_mask(g.adj, mask, mode)) for mask in order]
+            finals = [final_mask(g.adj, mask, mode) for mask in order]
+            # Every superset is stepped, each to its final mask from scratch.
+            seen = []
+
+            def paired(state, v):
+                seen.append((state[0] | 1 << v, step(state[1], v)))
+                return seen[-1]
+
+            assert _search(x, n, (x, start), paired, None, True) == ([], len(order))
+            assert {mask for mask, _ in seen} == set(order[1:])
+            assert all(final == final_mask(g.adj, mask, mode) for mask, final in seen)
+            # A goal stops the search at the first superset that reaches it.
+            for goal in {finals[-1], *rng.sample(finals, min(len(finals), 4))}:
+                first = finals.index(goal)
+                size = order[first].bit_count()
+                every = [m for m, f in zip(order, finals) if f == goal and m.bit_count() == size]
+                assert _search(x, n, start, step, goal, False) == ([order[first]], first + 1)
+                assert _search(x, n, start, step, goal, True)[0] == every
 
 
 class TestModeDispatch:

@@ -42,6 +42,8 @@ from pdzf import (
     z_restricted_single,
 )
 from pdzf import solver
+from pdzf.graph import bits
+from pdzf.propagation import final_mask
 from pdzf.solver import _cover_exact, _RowPool
 from util import (
     graph_sweep,
@@ -374,6 +376,39 @@ class TestOracle:
         g = generate("cycle", (5,))
         res = brute_force_min(g, g.vertex_set([3]), "pd")
         assert 3 in res.witness
+
+    @pytest.mark.parametrize("mode", ["pd", "zf", "dom"])
+    def test_count_matches_a_naive_reference(self, mode):
+        # The reference tries the supersets of X in combinations order, each
+        # final mask from scratch: the witness is the first feasible one,
+        # nodes its position (X itself is the first), and minimum_solutions
+        # every feasible one of that size.
+        rng = random.Random(31)
+        cases = [(generate("path", (4,)), (0,)), (generate("star", (4,)), tuple(range(5)))]
+        for _ in range(60):
+            n = rng.randint(1, 10)
+            g = random_graph(n, rng, rng.choice((0.15, 0.3, 0.5)))
+            cases.append((g, random_subset(n, rng, min(n, rng.choice((0, 1, 2, n))))))
+        counts = []
+        for g, x in cases:
+            x = g.vertex_set(x)
+            full = (1 << g.n) - 1
+            free = [v for v in range(g.n) if v not in x]
+            order = [
+                x.mask | sum(1 << v for v in combo)
+                for k in range(len(free) + 1)
+                for combo in combinations(free, k)
+            ]
+            feasible = [m for m in order if final_mask(g.adj, m, mode) == full]
+            first = feasible[0]
+            res = brute_force_min(g, x, mode)
+            witness = g.vertex_set(bits(first))
+            assert res == SolveResult(len(witness), witness, "oracle", 0, order.index(first) + 1)
+            sols = minimum_solutions(g, x, mode)
+            assert [s.mask for s in sols] == [m for m in feasible if m.bit_count() == res.value]
+            counts.append((res.nodes, len(x) == g.n))
+        # Both edge cases occur: X feasible already, and X = V.
+        assert (1, False) in counts and (1, True) in counts
 
     def test_guard_and_validation(self):
         with pytest.raises(GuardExceededError):
